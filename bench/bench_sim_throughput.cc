@@ -272,8 +272,6 @@ runBareTraceBenchmark(benchmark::State &state, bool linked,
         static_cast<double>(m.stats().blockExecutions), avg);
     state.counters["guest_instructions"] = benchmark::Counter(
         static_cast<double>(m.stats().instructions), avg);
-    state.counters["threaded_executions"] = benchmark::Counter(
-        static_cast<double>(m.stats().threadedExecutions), avg);
     state.counters["threaded_instructions"] = benchmark::Counter(
         static_cast<double>(m.stats().threadedInstructions), avg);
 }
@@ -293,12 +291,12 @@ BM_BareUnlinked(benchmark::State &state)
 BENCHMARK(BM_BareUnlinked)->Unit(benchmark::kMillisecond);
 
 /**
- * A/B pair for the threaded-code tier (docs/ARCHITECTURE.md §5c):
- * the same branch-dense loop with trace links on in both runs, so
- * the only difference is the dispatch mechanism - compiled handler
- * chains versus re-entering the FusedKind switch per instruction.
- * check_bench_regression.sh asserts the threaded run clears a fixed
- * multiple of the switch run's instruction rate.
+ * A/B pair for the block executor (docs/ARCHITECTURE.md §5c): the
+ * same branch-dense loop retired through superblocks and the threaded
+ * driver versus the Fast tier's per-instruction dispatch through the
+ * predecoded-instruction cache.  check_bench_regression.sh asserts
+ * the threaded run clears a fixed multiple of the fast run's
+ * instruction rate.
  */
 void
 BM_BareThreaded(benchmark::State &state)
@@ -308,11 +306,11 @@ BM_BareThreaded(benchmark::State &state)
 BENCHMARK(BM_BareThreaded)->Unit(benchmark::kMillisecond);
 
 void
-BM_BareSwitch(benchmark::State &state)
+BM_BareFast(benchmark::State &state)
 {
-    runBareTraceBenchmark(state, true, ExecTier::Blocks);
+    runBareTraceBenchmark(state, true, ExecTier::Fast);
 }
-BENCHMARK(BM_BareSwitch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BareFast)->Unit(benchmark::kMillisecond);
 
 void
 BM_VirtualizedExecution(benchmark::State &state)

@@ -155,27 +155,27 @@ if linked is not None and unlinked is not None:
               f"unlinked {unlinked / 1e6:.2f} M instr/s "
               f"({linked / unlinked:.2f}x)")
 
-# Threaded-tier gate: compiled handler chains exist to beat the
-# FusedKind switch on branch-dense code, so the A/B pair (identical
-# guest, identical trace links, only the dispatch mechanism differs)
-# must show the win, not just parity.  The 1.2x floor sits under the
-# measured ~1.3x so shared-host jitter doesn't flake the gate, while
-# still failing loudly if a change quietly routes hot blocks back
-# through the switch or bloats the driver past its advantage.
+# Threaded-tier gate: superblocks retired by the threaded driver
+# exist to beat per-instruction dispatch on branch-dense code, so the
+# A/B pair (identical guest, only the execution tier differs) must
+# show the win, not just parity.  The 1.2x floor sits well under the
+# measured ratio so shared-host jitter doesn't flake the gate, while
+# still failing loudly if a change quietly routes blocks back through
+# the per-instruction path or bloats the driver past its advantage.
 THREADED_FLOOR = 1.2
 threaded = items_rate(fresh_path, "BM_BareThreaded")
-switch = items_rate(fresh_path, "BM_BareSwitch")
-if threaded is not None and switch is not None and switch > 0:
-    ratio = threaded / switch
+fast = items_rate(fresh_path, "BM_BareFast")
+if threaded is not None and fast is not None and fast > 0:
+    ratio = threaded / fast
     if ratio < THREADED_FLOOR:
         print(f"REGRESSED threaded tier: BM_BareThreaded "
               f"{threaded / 1e6:.2f} M instr/s is only {ratio:.2f}x "
-              f"of BM_BareSwitch {switch / 1e6:.2f} "
+              f"of BM_BareFast {fast / 1e6:.2f} "
               f"(need >= {THREADED_FLOOR}x)")
         failed = True
     else:
         print(f"ok       threaded tier: {ratio:.2f}x over the "
-              f"switch executor (need >= {THREADED_FLOOR}x)")
+              f"fast tier (need >= {THREADED_FLOOR}x)")
 
 # Fleet-scaling gate: on a host with enough cores, a 4-VM fleet on 4
 # workers must clear at least 2x the throughput of the same fleet on

@@ -6,11 +6,11 @@ cmake -B build
 cmake --build build -j "$(nproc)"
 # The whole suite once per host execution tier (VVAX_EXEC_TIER,
 # docs/ARCHITECTURE.md §5c): the lockstep digests must hold whether
-# hot code retires through the fast path alone, the superblock
-# switch executor, or the threaded-code driver.  The reference tier
-# needs no pass of its own - every equivalence test drives it
-# internally as the baseline half of its digest comparison.
-for tier in fast blocks threaded; do
+# code retires through the fast path alone or through superblocks
+# and the threaded driver.  The reference tier needs no pass of its
+# own - every equivalence test drives it internally as the baseline
+# half of its digest comparison.
+for tier in fast threaded; do
     echo "=== ctest: VVAX_EXEC_TIER=$tier"
     env VVAX_EXEC_TIER="$tier" \
         ctest --test-dir build >"test_output_$tier.txt" 2>&1 ||
@@ -72,8 +72,8 @@ SWEEP_PLAN_FOR_SEED() {
     for s in 3 7 11 23 42 97 1234 99991; do
       echo "=== fault sweep: tree=$tree seed=$s"
       # Pin the threaded tier explicitly (it is also the default):
-      # faults must land identically when the victim retires hot code
-      # through compiled handler chains.
+      # faults must land identically when the victim retires code
+      # through the block executor's handler chains.
       env $SAN_ENV VVAX_EXEC_TIER=threaded \
           VVAX_FAULT_PLAN="$(SWEEP_PLAN_FOR_SEED "$s")" \
           "$tree/tests/test_fault_injection" \

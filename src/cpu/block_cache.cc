@@ -8,8 +8,8 @@
  * stops at the first control transfer (which may end the block) or
  * sensitive opcode (which may not enter it at all).  Each appended
  * instruction is classified: the hottest opcode+addressing-mode pairs
- * get a FusedKind handled inline by the block executor in
- * dispatch.cc; everything else keeps its full PredecodedInstr
+ * get a fused BlockOp with its own handler in the driver
+ * (threaded.cc); everything else keeps its full PredecodedInstr
  * template and replays through the ordinary decode/execute machinery.
  *
  * The classification is conservative by construction: only entries
@@ -218,17 +218,39 @@ isMem(const PredecodedOp &t)
            t.indexReg == 0xFF;
 }
 
-/** Encode a fusable memory operand into (b, imm): b = 0xFF marks an
- *  absolute address, otherwise addr = R[b] + imm. */
+/** Encode a fusable memory operand: @p reg_op for addr = R[b] + imm,
+ *  the *abs op that follows it for addr = imm. */
 void
-setMemOperand(BlockInstr &bi, const PredecodedOp &t)
+setMemOperand(BlockInstr &bi, BlockOp reg_op, const PredecodedOp &t)
 {
     if (t.kind == PdKind::Absolute) {
-        bi.b = 0xFF;
+        bi.op = static_cast<BlockOp>(reg_op + 1);
         bi.imm = t.disp;
     } else {
+        bi.op = reg_op;
         bi.b = t.reg;
         bi.imm = t.kind == PdKind::Disp ? t.disp : 0;
+    }
+}
+
+/** Handler for BRB/BRW or a simple conditional branch. */
+BlockOp
+branchOp(Opcode op)
+{
+    switch (op) {
+      case Opcode::BNEQ: return kOpBneq;
+      case Opcode::BEQL: return kOpBeql;
+      case Opcode::BGTR: return kOpBgtr;
+      case Opcode::BLEQ: return kOpBleq;
+      case Opcode::BGEQ: return kOpBgeq;
+      case Opcode::BLSS: return kOpBlss;
+      case Opcode::BGTRU: return kOpBgtru;
+      case Opcode::BLEQU: return kOpBlequ;
+      case Opcode::BVC: return kOpBvc;
+      case Opcode::BVS: return kOpBvs;
+      case Opcode::BCC: return kOpBcc;
+      case Opcode::BCS: return kOpBcs;
+      default: return kOpBra; // BRB, BRW
     }
 }
 
@@ -245,7 +267,7 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
     const auto op = static_cast<Opcode>(ci.opcode);
     const PredecodedOp *o = ci.ops.data();
 
-    bi.kind = FusedKind::Generic;
+    bi.op = kOpGeneric;
     bi.fetchesPre = totalFetches(ci);
     bi.fetchesPost = 0;
 
@@ -253,30 +275,27 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::MOVL:
         if (isReg(o[1])) {
             if (isReg(o[0])) {
-                bi.kind = FusedKind::MovRR;
+                bi.op = kOpMovRR;
                 bi.a = o[0].reg;
                 bi.b = o[1].reg;
             } else if (isImm(o[0])) {
-                bi.kind = FusedKind::MovIR;
+                bi.op = kOpMovIR;
                 bi.imm = o[0].disp;
                 bi.b = o[1].reg;
             } else if (isMem(o[0])) {
-                bi.kind = FusedKind::MovMR;
                 bi.a = o[1].reg;
-                setMemOperand(bi, o[0]);
+                setMemOperand(bi, kOpMovMRreg, o[0]);
                 bi.fetchesPre = static_cast<Byte>(ci.opcodeFetches +
                                                   o[0].fetches);
                 bi.fetchesPost = o[1].fetches;
             }
         } else if (isMem(o[1])) {
             if (isReg(o[0])) {
-                bi.kind = FusedKind::MovRM;
                 bi.a = o[0].reg;
-                setMemOperand(bi, o[1]);
+                setMemOperand(bi, kOpMovRMreg, o[1]);
             } else if (isImm(o[0])) {
-                bi.kind = FusedKind::MovIM;
                 bi.imm2 = o[0].disp;
-                setMemOperand(bi, o[1]);
+                setMemOperand(bi, kOpMovIMreg, o[1]);
             }
         }
         break;
@@ -287,22 +306,21 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BICL2:
       case Opcode::XORL2:
         if (isReg(o[1])) {
-            FusedKind rr = FusedKind::Generic;
+            BlockOp rr = kOpGeneric;
             switch (op) {
-              case Opcode::ADDL2: rr = FusedKind::AddRR; break;
-              case Opcode::SUBL2: rr = FusedKind::SubRR; break;
-              case Opcode::BISL2: rr = FusedKind::BisRR; break;
-              case Opcode::BICL2: rr = FusedKind::BicRR; break;
-              default: rr = FusedKind::XorRR; break;
+              case Opcode::ADDL2: rr = kOpAddRR; break;
+              case Opcode::SUBL2: rr = kOpSubRR; break;
+              case Opcode::BISL2: rr = kOpBisRR; break;
+              case Opcode::BICL2: rr = kOpBicRR; break;
+              default: rr = kOpXorRR; break;
             }
             if (isReg(o[0])) {
-                bi.kind = rr;
+                bi.op = rr;
                 bi.a = o[0].reg;
                 bi.b = o[1].reg;
             } else if (isImm(o[0])) {
                 // *IR immediately follows *RR in the enum.
-                bi.kind = static_cast<FusedKind>(
-                    static_cast<Byte>(rr) + 1);
+                bi.op = static_cast<BlockOp>(rr + 1);
                 bi.imm = o[0].disp;
                 bi.b = o[1].reg;
             }
@@ -311,15 +329,15 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
 
       case Opcode::CMPL:
         if (isReg(o[0]) && isReg(o[1])) {
-            bi.kind = FusedKind::CmpRR;
+            bi.op = kOpCmpRR;
             bi.a = o[0].reg;
             bi.b = o[1].reg;
         } else if (isImm(o[0]) && isReg(o[1])) {
-            bi.kind = FusedKind::CmpIR;
+            bi.op = kOpCmpIR;
             bi.imm = o[0].disp;
             bi.b = o[1].reg;
         } else if (isReg(o[0]) && isImm(o[1])) {
-            bi.kind = FusedKind::CmpRI;
+            bi.op = kOpCmpRI;
             bi.a = o[0].reg;
             bi.imm = o[1].disp;
         }
@@ -327,35 +345,31 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
 
       case Opcode::TSTL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::TstR;
+            bi.op = kOpTstR;
             bi.a = o[0].reg;
         }
         break;
       case Opcode::CLRL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::ClrR;
+            bi.op = kOpClrR;
             bi.b = o[0].reg;
         }
         break;
       case Opcode::INCL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::IncR;
+            bi.op = kOpIncR;
             bi.b = o[0].reg;
         }
         break;
       case Opcode::DECL:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::DecR;
+            bi.op = kOpDecR;
             bi.b = o[0].reg;
         }
         break;
 
       case Opcode::BRB:
       case Opcode::BRW:
-        bi.kind = FusedKind::Bra;
-        bi.imm = o[0].disp;
-        break;
-
       case Opcode::BNEQ:
       case Opcode::BEQL:
       case Opcode::BGTR:
@@ -368,17 +382,15 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BVS:
       case Opcode::BCC:
       case Opcode::BCS:
-        bi.kind = FusedKind::CondBr;
-        bi.a = static_cast<Byte>(ci.opcode);
+        bi.op = branchOp(op);
         bi.imm = o[0].disp;
         break;
 
       case Opcode::SOBGEQ:
       case Opcode::SOBGTR:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::Sob;
+            bi.op = op == Opcode::SOBGTR ? kOpSobGtr : kOpSobGeq;
             bi.a = o[0].reg;
-            bi.b = op == Opcode::SOBGTR ? 1 : 0;
             bi.imm = o[1].disp;
         }
         break;
@@ -386,9 +398,8 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BLBS:
       case Opcode::BLBC:
         if (isReg(o[0])) {
-            bi.kind = FusedKind::BlbR;
+            bi.op = op == Opcode::BLBS ? kOpBlbs : kOpBlbc;
             bi.a = o[0].reg;
-            bi.b = op == Opcode::BLBS ? 1 : 0;
             bi.imm = o[1].disp;
         }
         break;
@@ -404,19 +415,19 @@ appendInstr(Block &blk, const PredecodedInstr &ci, const CostModel &cost)
     BlockInstr &bi = blk.instrs[blk.count++];
     bi = BlockInstr{};
     bi.len = ci.len;
-    bi.info = ci.info;
     // No in-block opcode carries extraCharge or suppressBase (every
     // setter lives in the sensitive set stopsBlock() rejects), so the
     // per-instruction charge is statically the scaled base cost.
-    bi.charge = static_cast<Cycles>(ci.info->baseCycles) *
-                cost.instructionScalePct / 100;
+    bi.charge = static_cast<std::uint32_t>(
+        static_cast<Cycles>(ci.info->baseCycles) *
+        cost.instructionScalePct / 100);
     blk.totalCharge += bi.charge;
     if (writesMemory(ci))
         bi.flags = BlockInstr::kWritesMem | BlockInstr::kTouchesMem;
     else if (touchesMemory(ci))
         bi.flags = BlockInstr::kTouchesMem;
     classify(bi, ci);
-    if (bi.kind == FusedKind::Generic) {
+    if (bi.op == kOpGeneric) {
         bi.tmplIndex = static_cast<Word>(blk.tmpls.size());
         blk.tmpls.push_back(ci);
     }

@@ -5,11 +5,12 @@
  * A Block is a run of predecoded instructions starting at one virtual
  * PC and ending at the first control transfer or sensitive opcode,
  * harvested from the per-instruction replay cache once the code has
- * executed at least once.  The block executor in dispatch.cc retires
- * the whole run with the pending-interrupt check and instruction-byte
- * revalidation hoisted to the block edges, and with the hottest
- * opcode+addressing-mode pairs fused into specialized handlers that
- * bypass the generic decode/execute machinery entirely.
+ * executed at least once.  Every runnable block retires through the
+ * computed-goto driver in threaded.cc, with the pending-interrupt
+ * check and instruction-byte revalidation hoisted to the block edges,
+ * and with the hottest opcode+addressing-mode pairs fused into
+ * specialized handlers that bypass the generic decode/execute
+ * machinery entirely.
  *
  * Blocks are keyed by virtual PC but validated by physical identity:
  * entry compares the page's host pointer (resolved through the
@@ -29,52 +30,75 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "arch/types.h"
 #include "cpu/predecode.h"
-#include "cpu/threaded.h"
 #include "memory/tlb.h"
 
 namespace vvax {
 
 /**
- * Specialized handler selector for one block instruction.  Generic
- * replays the PredecodedInstr template through the ordinary execute
- * switch; every other kind is a fused opcode+addressing-mode pair
- * handled inline by the block executor.
+ * Handler selector for one block instruction, emitted by classify()
+ * and bound to a driver label (BlockInstr::handler) the first time
+ * the driver enters the block.  Generic replays the PredecodedInstr
+ * template through the ordinary execute switch; every other op is a
+ * fused opcode+addressing-mode pair whose operand shape, branch
+ * condition and SOB/BLB sense are baked in, so its handler is
+ * branch-free.  The order is the driver's label-table order; each
+ * *IR form directly follows its *RR form and each *abs form its
+ * *reg form.
  */
-enum class FusedKind : Byte {
-    Generic = 0,
-    // MOVL forms.  Mov*R: a = dst register.  Mov*M: memory operand is
-    // the destination (base register b, displacement imm).
-    MovRR, //!< MOVL Rs, Rd          (a = src, b = dst)
-    MovIR, //!< MOVL #imm, Rd        (imm = value, b = dst)
-    MovMR, //!< MOVL mem, Rd         (a = dst, b = base, imm = disp)
-    MovRM, //!< MOVL Rs, mem         (a = src, b = base, imm = disp)
-    MovIM, //!< MOVL #imm, mem       (imm2 = value, b = base, imm = disp)
-    // Register-only unary/compare forms (a or b = the register).
-    ClrR,  //!< CLRL Rd
-    TstR,  //!< TSTL Rs
-    IncR,  //!< INCL Rd
-    DecR,  //!< DECL Rd
-    // Dyadic L-size ALU, register destination (b = dst).
-    AddRR, AddIR, //!< ADDL2 {Rs,#imm}, Rd
-    SubRR, SubIR, //!< SUBL2 {Rs,#imm}, Rd
-    BisRR, BisIR, //!< BISL2 {Rs,#imm}, Rd
-    BicRR, BicIR, //!< BICL2 {Rs,#imm}, Rd
-    XorRR, XorIR, //!< XORL2 {Rs,#imm}, Rd
-    CmpRR, //!< CMPL Rs, Rs2         (a, b = registers)
-    CmpIR, //!< CMPL #imm, Rs        (imm, b = register)
-    CmpRI, //!< CMPL Rs, #imm        (a = register, imm)
-    // Control transfers (always block-final).
-    Bra,    //!< BRB/BRW             (imm = target)
-    CondBr, //!< Bxx                 (a = opcode byte, imm = target)
-    Sob,    //!< SOBGEQ/SOBGTR Rn    (a = reg, b = 1 for GTR, imm = target)
-    BlbR,   //!< BLBS/BLBC Rn        (a = reg, b = 1 for BLBS, imm = target)
+enum BlockOp : Byte {
+    kOpGeneric = 0,
+    // MOVL forms.  Mov*R: a = dst register.  Mov*M: the destination
+    // is memory at R[b] + imm (reg) or at imm (abs).
+    kOpMovRR,    //!< MOVL Rs, Rd        (a = src, b = dst)
+    kOpMovIR,    //!< MOVL #imm, Rd      (imm = value, b = dst)
+    kOpMovMRreg, //!< MOVL disp(Rb), Rd  (a = dst, b = base, imm = disp)
+    kOpMovMRabs, //!< MOVL @#abs, Rd     (a = dst, imm = address)
+    kOpMovRMreg, //!< MOVL Rs, mem       (a = src)
+    kOpMovRMabs,
+    kOpMovIMreg, //!< MOVL #imm, mem     (imm2 = value)
+    kOpMovIMabs,
+    // Register-only unary/compare forms.
+    kOpClrR, //!< CLRL Rd              (b)
+    kOpTstR, //!< TSTL Rs              (a)
+    kOpIncR, //!< INCL Rd              (b)
+    kOpDecR, //!< DECL Rd              (b)
+    // Dyadic L-size ALU, register destination (a = src reg or
+    // imm = literal, b = dst).
+    kOpAddRR, kOpAddIR,
+    kOpSubRR, kOpSubIR,
+    kOpBisRR, kOpBisIR,
+    kOpBicRR, kOpBicIR,
+    kOpXorRR, kOpXorIR,
+    kOpCmpRR, //!< CMPL Rs, Rs2        (a, b = registers)
+    kOpCmpIR, //!< CMPL #imm, Rs       (imm, b = register)
+    kOpCmpRI, //!< CMPL Rs, #imm       (a = register, imm)
+    // Control transfers (always block-final; imm = target).
+    kOpBra, //!< BRB/BRW
+    kOpBneq, kOpBeql, kOpBgtr, kOpBleq, kOpBgeq, kOpBlss,
+    kOpBgtru, kOpBlequ, kOpBvc, kOpBvs, kOpBcc, kOpBcs,
+    kOpSobGeq, kOpSobGtr, //!< SOBxxx Rn (a = reg)
+    kOpBlbc, kOpBlbs,     //!< BLBx Rn   (a = reg)
+    kNumBlockOps,
 };
+
+/** Why a driver run ended early (per-block observability for
+ *  VVAX_DUMP_HOT_BLOCKS and Stats::threadedBails). */
+enum class ThreadedBail : Byte {
+    Fault = 0, //!< GuestFault dispatched mid-block
+    Smc,       //!< a store changed the block's own bytes
+    Interrupt, //!< deliverable interrupt / halt stopped the run
+    TlbEvict,  //!< the instruction window's TLB entry was evicted
+    Budget,    //!< instruction budget truncated the block
+    NumReasons,
+};
+
+constexpr int kNumThreadedBails =
+    static_cast<int>(ThreadedBail::NumReasons);
 
 /** One instruction inside a Block. */
 struct BlockInstr
@@ -94,18 +118,22 @@ struct BlockInstr
      */
     static constexpr Byte kTouchesMem = 2;
 
-    FusedKind kind = FusedKind::Generic;
-    Byte a = 0;           //!< see FusedKind comments
-    Byte b = 0;           //!< see FusedKind comments (0xFF = absolute)
+    /** Driver label for op.  Null until the driver first enters the
+     *  block: label addresses exist only inside the driver. */
+    const void *handler = nullptr;
+    Byte a = 0;           //!< see BlockOp comments
+    Byte b = 0;           //!< see BlockOp comments
     Byte len = 0;         //!< instruction length in bytes
     Byte flags = 0;
     Byte fetchesPre = 0;  //!< stream fetches before the data access
     Byte fetchesPost = 0; //!< stream fetches after it
+    BlockOp op = kOpGeneric;
     Word tmplIndex = 0;   //!< Generic: index into Block::tmpls
     Longword imm = 0;     //!< immediate / displacement / branch target
     Longword imm2 = 0;    //!< MovIM immediate value
-    Cycles charge = 0;    //!< base cycle charge (fused kinds only)
-    const InstrInfo *info = nullptr;
+    /** Base cycle charge (fused ops only).  32 bits keep the record
+     *  at half a cache line. */
+    std::uint32_t charge = 0;
 };
 
 /**
@@ -131,11 +159,13 @@ struct Block
      * any length: branch targets chain usefully.
      */
     static constexpr int kMinInstrs = 2;
+    /** Slow-path dispatches of a source block before it may link. */
+    static constexpr std::uint64_t kLinkThreshold = 8;
 
     /**
      * A trace link: a direct edge to the cached block this block's
      * final control transfer lands on (docs/ARCHITECTURE.md §5b).
-     * Following one lets runBlocks chain block-to-block without
+     * Following one lets the driver chain block-to-block without
      * re-resolving the instruction window or re-comparing bytes; the
      * crossing instead re-checks pending interrupts, the latched TLB
      * tag, and the target page's generation against the watermark the
@@ -194,24 +224,21 @@ struct Block
     std::uint32_t validGen = 0;
     Byte lastDir = kLinkTaken; //!< last exit direction (predictor)
 
-    // ----- Threaded tier (docs/ARCHITECTURE.md §5c) -------------------
-    /**
-     * Compiled threaded-code program, produced once the block crosses
-     * the trace threshold under VVAX_EXEC_TIER=threaded.  Owned by the
-     * block and discarded with it: every invalidation path funnels
-     * through Cpu::invalidateBlock -> clear(), so a program can never
-     * outlive the byte validation of the block it was compiled from.
-     */
-    std::unique_ptr<ThreadedProgram> prog;
+    // ----- Driver observability (VVAX_DUMP_HOT_BLOCKS) ----------------
+    std::uint64_t runs = 0; //!< driver entries (slow path + chained)
+    std::array<std::uint64_t, kNumThreadedBails> bails{};
 
     /**
      * Live, directly executable block - not a negative entry.  The
      * single source of truth for the count == 0 test shared by the
-     * slow dispatch path, trace-link crossings, and the threaded
-     * compiler, so the tiers can never disagree about which blocks
-     * are eligible to run.
+     * slow dispatch path and trace-link crossings, so they can never
+     * disagree about which blocks are eligible to run.
      */
     bool runnable() const { return count != 0; }
+    /** The driver has bound every instruction to its handler label
+     *  (rebuilding resets the instructions, so this never outlives
+     *  the byte validation the block was built from). */
+    bool resolved() const { return instrs[0].handler != nullptr; }
     /**
      * A harvest capped by a sensitive opcode after @p n instructions
      * is below the profitability cutoff and becomes a negative entry
@@ -236,7 +263,8 @@ struct Block
         hits = 0;
         validGen = 0;
         lastDir = kLinkTaken;
-        prog.reset();
+        runs = 0;
+        bails = {};
     }
 };
 

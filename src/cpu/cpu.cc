@@ -17,31 +17,22 @@ Cpu::Cpu(Mmu &mmu, const CostModel &cost, Stats &stats,
     mmu_.setModifyFaultMode(level == MicrocodeLevel::Modified);
     sid_ = (static_cast<Longword>(cost.model) << 24) | 0x0139;
     int_requests_.reserve(8);
-    // Escape hatch mirroring VVAX_REFERENCE_PATH: run the superblock
-    // cache without the trace tier (docs/ARCHITECTURE.md §5b).
-    if (std::getenv("VVAX_NO_TRACE_LINKS") != nullptr)
-        trace_links_enabled_ = false;
-    if (const char *t = std::getenv("VVAX_TRACE_THRESHOLD"))
-        trace_link_threshold_ = std::strtoull(t, nullptr, 10);
     // Runtime tier selection (docs/ARCHITECTURE.md §5c).  "ref" also
-    // flips the MMU onto its reference path, making the variable a
-    // one-stop replacement for VVAX_REFERENCE_PATH; an unknown value
-    // keeps the default (threaded) so a typo can't silently change
-    // what a lockstep suite exercises without a trace in the log.
+    // flips the MMU onto its reference path; an unknown value keeps
+    // the default (threaded) so a typo can't silently change what a
+    // lockstep suite exercises without a trace in the log.
     if (const char *t = std::getenv("VVAX_EXEC_TIER")) {
         const std::string_view v(t);
         if (v == "ref" || v == "reference")
             setExecTier(ExecTier::Reference);
         else if (v == "fast")
             exec_tier_ = ExecTier::Fast;
-        else if (v == "blocks")
-            exec_tier_ = ExecTier::Blocks;
         else if (v == "threaded")
             exec_tier_ = ExecTier::Threaded;
         else
             std::fprintf(stderr,
                          "vvax: ignoring unknown VVAX_EXEC_TIER '%s' "
-                         "(want ref|fast|blocks|threaded)\n",
+                         "(want ref|fast|threaded)\n",
                          t);
     }
 }
@@ -65,8 +56,8 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
     os << "hot superblocks (" << live.size() << " of " << slots.size()
        << " slots, by slow-path dispatches):\n";
     if (stats_.threadedCompiles != 0) {
-        os << "  threaded programs: " << stats_.threadedCompiles
-           << " compiled, " << stats_.threadedDiscards
+        os << "  threaded driver: " << stats_.threadedCompiles
+           << " blocks resolved, " << stats_.threadedDiscards
            << " discarded, " << stats_.threadedBails << " bails\n";
     }
     const auto flags = os.flags();
@@ -84,11 +75,10 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
         os << " bytes=" << b->byteLen << " hits=" << b->hits
            << " in=" << b->inbound.size() << " last="
            << (b->lastDir == Block::kLinkTaken ? "taken" : "fall");
-        if (b->prog != nullptr) {
-            const ThreadedProgram &p = *b->prog;
-            os << " steps=" << p.steps.size() << " runs=" << p.runs;
+        if (b->runs != 0) {
+            os << " runs=" << b->runs;
             std::uint64_t bailed = 0;
-            for (const std::uint64_t c : p.bails)
+            for (const std::uint64_t c : b->bails)
                 bailed += c;
             if (bailed != 0) {
                 static constexpr const char
@@ -97,10 +87,10 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
                 os << " bails[";
                 bool first = true;
                 for (int r = 0; r < kNumThreadedBails; ++r) {
-                    if (p.bails[static_cast<std::size_t>(r)] == 0)
+                    if (b->bails[static_cast<std::size_t>(r)] == 0)
                         continue;
                     os << (first ? "" : " ") << bail_names[r] << "="
-                       << p.bails[static_cast<std::size_t>(r)];
+                       << b->bails[static_cast<std::size_t>(r)];
                     first = false;
                 }
                 os << "]";

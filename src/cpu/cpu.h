@@ -57,17 +57,15 @@ enum class RunState : Byte { Running, Waiting, Halted };
  *    path).
  *  - Fast: pointer-carrying TLB + predecoded-instruction cache,
  *    per-instruction dispatch only.
- *  - Blocks: superblock translation cache with trace links, executed
- *    through the fused-handler switch in executeBlock.
- *  - Threaded: blocks past the trace threshold additionally compile
- *    into threaded-code programs run by the computed-goto driver in
- *    threaded.cc (the default).
+ *  - Threaded: superblocks with trace links, every runnable block
+ *    retired by the computed-goto driver in threaded.cc (the
+ *    default).
  *
- * Selected at construction by VVAX_EXEC_TIER=ref|fast|blocks|threaded
- * or at run time via Cpu::setExecTier.  Purely a host-side knob: every
- * tier retires bit-identical architectural state and Stats.
+ * Selected at construction by VVAX_EXEC_TIER=ref|fast|threaded or at
+ * run time via Cpu::setExecTier.  Purely a host-side knob: every tier
+ * retires bit-identical architectural state and Stats.
  */
-enum class ExecTier : Byte { Reference = 0, Fast, Blocks, Threaded };
+enum class ExecTier : Byte { Reference = 0, Fast, Threaded };
 
 /** One decoded operand, as supplied to the VM-emulation trap. */
 struct DecodedOperand
@@ -246,12 +244,11 @@ class Cpu
 
     // ----- Trace tier (docs/ARCHITECTURE.md §5b) ------------------------
     /**
-     * Enable/disable direct block-to-block links.  Defaults to on;
-     * the VVAX_NO_TRACE_LINKS environment variable (mirroring
-     * VVAX_REFERENCE_PATH) turns them off at construction, and the
-     * bench harness A/B pair toggles them per run.  Disabling does
-     * not sever existing links - they simply stop being followed or
-     * formed, so every dispatch goes through the slow path again.
+     * Enable/disable direct block-to-block links.  Defaults to on; the
+     * bench harness A/B pair and the links-off lockstep tests toggle
+     * them per run.  Disabling does not sever existing links - they
+     * simply stop being followed or formed, so every dispatch goes
+     * through the slow path again.
      */
     void setTraceLinksEnabled(bool on) { trace_links_enabled_ = on; }
     bool traceLinksEnabled() const { return trace_links_enabled_; }
@@ -269,15 +266,6 @@ class Cpu
             mmu_.setReferencePath(true);
     }
     ExecTier execTier() const { return exec_tier_; }
-    /** Slow-path dispatches of a source block before it may link. */
-    void setTraceLinkThreshold(std::uint64_t n)
-    {
-        trace_link_threshold_ = n;
-    }
-    std::uint64_t traceLinkThreshold() const
-    {
-        return trace_link_threshold_;
-    }
     /**
      * Dump the @p top_n hottest cached superblocks (by slow-path
      * dispatch count) with their outbound link edges - the
@@ -405,21 +393,16 @@ class Cpu
      */
     enum class BlockExit : Byte { Bailed, Taken, Fall };
     /**
-     * Retire up to (limit - instructions) instructions of @p blk.
-     * @p win_entry is the TLB entry the window resolved through
-     * (nullptr when mapping is off); its tag is re-checked after
-     * memory-touching instructions - see BlockInstr::kTouchesMem.
-     */
-    BlockExit executeBlock(Block &blk, Tlb::Entry *win_entry,
-                           std::uint64_t limit);
-    /**
-     * Threaded-code driver (threaded.cc, docs/ARCHITECTURE.md §5c):
-     * compile @p blk on first entry, then retire it - and any blocks
+     * The block executor (threaded.cc, docs/ARCHITECTURE.md §5c):
+     * bind @p blk's handlers on first entry, then retire up to
+     * (limit - instructions) instructions of it - and of any blocks
      * reachable through validating trace links - via computed-goto
-     * handler chains, with accounting and hazard checks bit-identical
-     * to executeBlock.  @p blk is updated to the last block entered so
-     * the caller's link-formation bookkeeping stays accurate.  Falls
-     * back to executeBlock on compilers without labels-as-values.
+     * handler chains.  @p win_entry is the TLB entry the window
+     * resolved through (nullptr when mapping is off); its tag is
+     * re-checked after memory-touching instructions - see
+     * BlockInstr::kTouchesMem.  @p blk is updated to the last block
+     * entered so the caller's link-formation bookkeeping stays
+     * accurate.
      */
     BlockExit executeThreaded(Block *&blk, Tlb::Entry *win_entry,
                               std::uint64_t limit);
@@ -657,10 +640,9 @@ class Cpu
     /** Superblock translation cache (block_cache.cc, dispatch.cc). */
     BlockCache bcache_;
 
-    // Trace tier configuration (docs/ARCHITECTURE.md §5b): both are
-    // host-side knobs and never observable architecturally.
+    // Trace tier switch (docs/ARCHITECTURE.md §5b): a host-side knob,
+    // never observable architecturally.
     bool trace_links_enabled_ = true;
-    std::uint64_t trace_link_threshold_ = 8;
     // Execution tier (docs/ARCHITECTURE.md §5c): host-side strategy
     // selection, highest tier by default.
     ExecTier exec_tier_ = ExecTier::Threaded;

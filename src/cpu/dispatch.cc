@@ -1,36 +1,15 @@
 /**
  * @file
  * Step loop, exception/interrupt dispatch through the SCB, interval
- * timer, the host-hook mechanism, and the superblock executor
- * (docs/ARCHITECTURE.md §5a).
+ * timer, the host-hook mechanism, and the superblock slow dispatch
+ * and trace-link bookkeeping (docs/ARCHITECTURE.md §5a-§5b).
  */
 
-#include <cassert>
 #include <cstring>
 
 #include "cpu/cpu.h"
 
 namespace vvax {
-
-namespace {
-
-// Shared with execute.cc (file-static there): overflow predicates for
-// the fused ALU handlers, which must set NZVC exactly as the generic
-// execute switch does.
-constexpr bool
-addOverflows(Longword a, Longword b, Longword sum)
-{
-    return ((~(a ^ b)) & (a ^ sum) & 0x80000000u) != 0;
-}
-
-constexpr bool
-subOverflows(Longword min, Longword sub, Longword dif)
-{
-    // dif = min - sub
-    return (((min ^ sub)) & (min ^ dif) & 0x80000000u) != 0;
-}
-
-} // namespace
 
 void
 Cpu::timerFired()
@@ -279,9 +258,9 @@ Cpu::run(std::uint64_t max_instructions)
     const std::uint64_t limit = stats_.instructions + max_instructions;
     std::uint64_t idle_steps = 0;
     // The superblock path is a host execution strategy: never used on
-    // the reference path or below the Blocks tier, and tracing needs
+    // the reference path or below the Threaded tier, and tracing needs
     // the per-instruction hook.
-    const bool use_blocks = exec_tier_ >= ExecTier::Blocks &&
+    const bool use_blocks = exec_tier_ == ExecTier::Threaded &&
                             !mmu_.referencePath() && !trace_;
     while (run_state_ != RunState::Halted && stats_.instructions < limit) {
         if (use_blocks && run_state_ == RunState::Running) {
@@ -326,8 +305,8 @@ Cpu::run(std::uint64_t max_instructions)
  *  - with mapping off: the link must have been formed with mapping
  *    off too (regime flips always revalidate through the slow path).
  *
- * Pending interrupts are the caller's job: runBlocks breaks out
- * before following any link when one is deliverable.
+ * Pending interrupts are the caller's job: the driver stops before
+ * following any link when one is deliverable.
  */
 bool
 Cpu::followLink(Block &src, Block **blk, Tlb::Entry **entry)
@@ -425,10 +404,9 @@ Cpu::invalidateBlock(Block &blk)
     // hit must cut all of them, not just kill the block), then
     // retract this block's own outbound back-references so targets
     // don't keep a dangling (source, slot) pair for a recycled slot.
-    // A compiled program dies with its block (clear() releases it);
-    // count the discard so VVAX_DUMP_HOT_BLOCKS can show recompile
-    // churn.
-    if (blk.prog != nullptr)
+    // Count discarded handler bindings so VVAX_DUMP_HOT_BLOCKS can
+    // show rebuild churn.
+    if (blk.runnable() && blk.resolved())
         stats_.threadedDiscards++;
     severInboundLinks(blk);
     for (int s = 0; s < 2; ++s) {
@@ -442,539 +420,95 @@ bool
 Cpu::runBlocks(std::uint64_t limit)
 {
     bool executed = false;
-    Block *blk = nullptr; // non-null: entered through a trace link
-    Tlb::Entry *entry = nullptr;
-    // A block that just completed through the slow path and is hot
-    // enough to link: the edge forms at the next slow dispatch, once
-    // the successor has validated.
+    // A block the driver completed but could not chain out of: the
+    // edge forms at the next slow dispatch, once the successor has
+    // validated.
     Block *prev = nullptr;
     VirtAddr prev_pc = 0;
     int prev_slot = Block::kLinkTaken;
 
     while (run_state_ == RunState::Running &&
            stats_.instructions < limit) {
-        if (blk == nullptr) {
-            const VirtAddr pc = regs_[PC];
-            const Byte *base = blockWindow(pc, &entry);
-            if (!base)
-                break;
-            blk = bcache_.lookup(pc);
-            if (blk != nullptr) {
-                const std::uint32_t gen = *blk->genCell;
-                if (base != blk->hostPage) {
-                    // Page identity changed (remap, context rename
-                    // resolving to a different frame): rebuild.
+        const VirtAddr pc = regs_[PC];
+        Tlb::Entry *entry = nullptr;
+        const Byte *base = blockWindow(pc, &entry);
+        if (!base)
+            break;
+        Block *blk = bcache_.lookup(pc);
+        if (blk != nullptr) {
+            const std::uint32_t gen = *blk->genCell;
+            if (base != blk->hostPage) {
+                // Page identity changed (remap, context rename
+                // resolving to a different frame): rebuild.
+                stats_.blockInvalidations++;
+                invalidateBlock(*blk);
+                blk = nullptr;
+            } else if (gen != blk->validGen) {
+                // The page was written since the last validation.  If
+                // the block's own bytes survived, re-watermark so link
+                // crossings accept the new generation; otherwise the
+                // block is stale (SMC): drop it and sever every
+                // inbound link.
+                if (std::memcmp(base + (pc & kPageOffsetMask),
+                                blk->bytes.data(), blk->byteLen) != 0) {
                     stats_.blockInvalidations++;
                     invalidateBlock(*blk);
                     blk = nullptr;
-                } else if (gen != blk->validGen) {
-                    // The page was written since the last validation.
-                    // If the block's own bytes survived, re-watermark
-                    // so link crossings accept the new generation;
-                    // otherwise the block is stale (SMC): drop it and
-                    // sever every inbound link.
-                    if (std::memcmp(base + (pc & kPageOffsetMask),
-                                    blk->bytes.data(),
-                                    blk->byteLen) != 0) {
-                        stats_.blockInvalidations++;
-                        invalidateBlock(*blk);
-                        blk = nullptr;
-                    } else {
-                        blk->validGen = gen;
-                    }
+                } else {
+                    blk->validGen = gen;
                 }
-            }
-            if (blk == nullptr)
-                blk = buildBlock(pc, base);
-            if (blk == nullptr || !blk->runnable()) {
-                prev = nullptr;
-                if (blk == nullptr || blk->stepInstrs == 0)
-                    break; // untranslatable here
-                // Negative entry: the run is too short for the block
-                // executor, so retire the whole validated region
-                // through the interpreter here, keeping the window
-                // resolve and memcmp amortized over the region
-                // instead of paying them again after every single
-                // stepped instruction.  Never a link source or
-                // target: trap-dense code keeps its tuned path.
-                const int n = blk->stepInstrs;
-                blk = nullptr;
-                for (int i = 0; i < n; ++i) {
-                    stepInstruction();
-                    executed = true;
-                    if (run_state_ != RunState::Running ||
-                        stats_.instructions >= limit ||
-                        pendingDeliverable())
-                        return executed;
-                }
-                continue;
-            }
-            blk->hits++;
-            if (prev != nullptr) {
-                // The successor just validated through the slow path;
-                // re-check that the source still owns its slot (the
-                // build above may have recycled it on a hash
-                // collision) and is hot enough to promote.
-                if (trace_links_enabled_ && prev->pc == prev_pc &&
-                    prev->hits >= trace_link_threshold_)
-                    formTraceLink(*prev, prev_slot, *blk, entry);
-                prev = nullptr;
             }
         }
-        stats_.blockExecutions++;
-        // The threaded driver takes over once the block is hot enough
-        // to have (or deserve) a compiled program; colder blocks warm
-        // up through the switch executor exactly as the Blocks tier
-        // would.  The driver chains compiled programs internally and
-        // leaves src naming the last block it entered, so the link
-        // bookkeeping below applies to the real chain tail.
-        Block *src = blk;
-        const BlockExit exit =
-            (exec_tier_ == ExecTier::Threaded &&
-             (blk->prog != nullptr ||
-              blk->hits >= trace_link_threshold_))
-                ? executeThreaded(src, entry, limit)
-                : executeBlock(*blk, entry, limit);
-        blk = nullptr;
+        if (blk == nullptr)
+            blk = buildBlock(pc, base);
+        if (blk == nullptr || !blk->runnable()) {
+            prev = nullptr;
+            if (blk == nullptr || blk->stepInstrs == 0)
+                break; // untranslatable here
+            // Negative entry: the run is too short for the block
+            // executor, so retire the whole validated region through
+            // the interpreter here, keeping the window resolve and
+            // memcmp amortized over the region instead of paying them
+            // again after every single stepped instruction.  Never a
+            // link source or target: trap-dense code keeps its tuned
+            // path.
+            const int n = blk->stepInstrs;
+            for (int i = 0; i < n; ++i) {
+                stepInstruction();
+                executed = true;
+                if (run_state_ != RunState::Running ||
+                    stats_.instructions >= limit ||
+                    pendingDeliverable())
+                    return executed;
+            }
+            continue;
+        }
+        blk->hits++;
+        if (prev != nullptr) {
+            // The successor just validated through the slow path;
+            // re-check that the source still owns its slot (the build
+            // above may have recycled it on a hash collision) and is
+            // hot enough to promote.
+            if (trace_links_enabled_ && prev->pc == prev_pc &&
+                prev->hits >= Block::kLinkThreshold)
+                formTraceLink(*prev, prev_slot, *blk, entry);
+            prev = nullptr;
+        }
+        // The driver follows trace links itself and leaves blk naming
+        // the last block it entered, so the link bookkeeping below
+        // applies to the real chain tail.
+        const BlockExit exit = executeThreaded(blk, entry, limit);
         executed = true;
         if (run_state_ != RunState::Running || pendingDeliverable())
             break;
         if (exit == BlockExit::Bailed)
             continue;
-        const int slot = exit == BlockExit::Taken ? Block::kLinkTaken
-                                                  : Block::kLinkFall;
-        // lastDir ordered the link probe; score the prediction before
-        // updating it.  (After a threaded chain the driver has already
-        // scored and updated the tail block, so this is a no-op.)
-        if (static_cast<int>(src->lastDir) != slot)
-            stats_.traceLinkMispredicts++;
-        const bool chained =
-            trace_links_enabled_ && followLink(*src, &blk, &entry);
-        src->lastDir = static_cast<Byte>(slot);
-        if (chained)
-            continue; // chained: skip the slow dispatch entirely
-        prev = src;
-        prev_pc = src->pc;
-        prev_slot = slot;
+        prev = blk;
+        prev_pc = blk->pc;
+        prev_slot = exit == BlockExit::Taken ? Block::kLinkTaken
+                                             : Block::kLinkFall;
     }
     return executed;
-}
-
-/*
- * Retire @p blk.  Invariants the translator established: no
- * instruction in the block can change IPL, mode, mapping or TLB
- * context (those opcodes stop translation), so the pending-interrupt
- * check hoists to the block edges - re-armed mid-block only after the
- * events that can create a deliverable interrupt: a store (MMIO can
- * raise a device line synchronously; any store can also overwrite the
- * block's own code, hence the generation re-check) and, when the
- * interval timer could fire within this block's worst-case charge,
- * any instruction at all.  Likewise the instruction bytes were
- * memcmp-validated at entry, so per-instruction revalidation drops
- * out.  Cost accounting stays strictly per retired instruction
- * (DESIGN.md §7c): every counter and cycle charge is identical to the
- * per-instruction path, bit for bit.
- *
- * The return value reports how the run ended so runBlocks can form
- * or follow a trace link: Taken/Fall only when every instruction
- * retired and the final control transfer's direction is known;
- * Bailed on any abnormal exit (fault, mid-block hazard, budget cut).
- */
-Cpu::BlockExit
-Cpu::executeBlock(Block &blk, Tlb::Entry *win_entry, std::uint64_t limit)
-{
-    const bool mapped = win_entry != nullptr;
-    const std::uint64_t win_tag = mapped ? win_entry->tag : 0;
-    const AccessMode mode = psl_.currentMode();
-    // Can the timer fire inside this block?  icr_ only moves by our
-    // own charges (advanceTimer), and totalCharge bounds them.
-    const bool timer_live =
-        (iccs_ & iccs::kRun) &&
-        icr_ + static_cast<std::int64_t>(blk.totalCharge) >= 0;
-    std::uint32_t gen = *blk.genCell;
-    bool br_taken = false; // set by the (always final) branch kinds
-
-    int n = blk.count;
-    if (static_cast<std::uint64_t>(n) > limit - stats_.instructions)
-        n = static_cast<int>(limit - stats_.instructions);
-
-    // Timer-off accounting batch.  With ICCS<RUN> clear, advanceTimer
-    // only ever sums into TODR and the cycle counters - commutative,
-    // so retiring the whole block and charging once at every exit is
-    // bit-identical to per-instruction accounting (lockstep-verified).
-    // With the timer running, ICR must advance per instruction so a
-    // mid-block reload lands exactly where the reference puts it.
-    const bool defer = !(iccs_ & iccs::kRun);
-    int done = 0;      // instructions retired but not yet counted
-    Cycles acc = 0;    // their cycle charges, not yet applied
-    const auto flush = [&] {
-        stats_.instructions += static_cast<std::uint64_t>(done);
-        stats_.blockInstructions += static_cast<std::uint64_t>(done);
-        done = 0;
-        if (acc != 0) {
-            chargeCycles(CycleCategory::GuestExec, acc);
-            acc = 0;
-        }
-    };
-
-    for (int i = 0; i < n; ++i) {
-        const BlockInstr &bi = blk.instrs[i];
-        const VirtAddr instr_pc = regs_[PC];
-        try {
-            Cycles charge = bi.charge;
-            switch (bi.kind) {
-              case FusedKind::Generic: {
-                Decoded &d = decode_scratch_;
-                d.regsAfter = regs_scratch_;
-                std::memcpy(d.regsAfter, regs_,
-                            sizeof(Longword) * kNumRegs);
-                d.extraCharge = 0;
-                d.suppressBase = false;
-                replayTemplate(blk.tmpls[bi.tmplIndex], instr_pc,
-                               mapped, d);
-                execute(d);
-                charge = d.extraCharge;
-                if (!d.suppressBase) {
-                    charge += d.info->baseCycles *
-                              cost_.instructionScalePct / 100;
-                }
-                break;
-              }
-
-              case FusedKind::MovRR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword v = regs_[bi.a];
-                regs_[bi.b] = v;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(v, OpSize::L);
-                break;
-              }
-              case FusedKind::MovIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword v = bi.imm;
-                regs_[bi.b] = v;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(v, OpSize::L);
-                break;
-              }
-              case FusedKind::MovMR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const VirtAddr addr =
-                    bi.b == 0xFF
-                        ? static_cast<VirtAddr>(bi.imm)
-                        : regs_[bi.b] + bi.imm;
-                const Longword v = mmu_.readV32(addr, mode);
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPost;
-                regs_[bi.a] = v;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(v, OpSize::L);
-                break;
-              }
-              case FusedKind::MovRM:
-              case FusedKind::MovIM: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const VirtAddr addr =
-                    bi.b == 0xFF
-                        ? static_cast<VirtAddr>(bi.imm)
-                        : regs_[bi.b] + bi.imm;
-                validateOperandWrite(addr, OpSize::L, mode);
-                const Longword v = bi.kind == FusedKind::MovRM
-                                       ? regs_[bi.a]
-                                       : bi.imm2;
-                mmu_.writeV32(addr, v, mode);
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(v, OpSize::L);
-                break;
-              }
-
-              case FusedKind::ClrR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                regs_[bi.b] = 0;
-                regs_[PC] = instr_pc + bi.len;
-                psl_.setNzvc(false, true, false, psl_.c());
-                break;
-              }
-              case FusedKind::TstR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword v = regs_[bi.a];
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(v, OpSize::L);
-                psl_.setFlag(Psl::kC, false);
-                break;
-              }
-              case FusedKind::IncR:
-              case FusedKind::DecR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const bool inc = bi.kind == FusedKind::IncR;
-                const Longword a = regs_[bi.b];
-                const Longword r = a + (inc ? 1u : ~0u);
-                regs_[bi.b] = r;
-                regs_[PC] = instr_pc + bi.len;
-                psl_.setNzvc((r & 0x80000000u) != 0, r == 0,
-                             inc ? addOverflows(a, 1, r)
-                                 : subOverflows(a, 1, r),
-                             inc ? r < a : a < 1);
-                if (psl_.v() && psl_.flag(Psl::kIv)) {
-                    throw GuestFault::withParam(
-                        ScbVector::Arithmetic,
-                        arithcode::kIntegerOverflow, /*abort=*/false);
-                }
-                break;
-              }
-
-              case FusedKind::AddRR:
-              case FusedKind::AddIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword a = bi.kind == FusedKind::AddRR
-                                       ? regs_[bi.a]
-                                       : bi.imm;
-                const Longword b = regs_[bi.b];
-                const Longword sum = a + b;
-                regs_[bi.b] = sum;
-                regs_[PC] = instr_pc + bi.len;
-                psl_.setNzvc((sum & 0x80000000u) != 0, sum == 0,
-                             addOverflows(a, b, sum), sum < a);
-                if (psl_.v() && psl_.flag(Psl::kIv)) {
-                    throw GuestFault::withParam(
-                        ScbVector::Arithmetic,
-                        arithcode::kIntegerOverflow, /*abort=*/false);
-                }
-                break;
-              }
-              case FusedKind::SubRR:
-              case FusedKind::SubIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword sub = bi.kind == FusedKind::SubRR
-                                         ? regs_[bi.a]
-                                         : bi.imm;
-                const Longword min = regs_[bi.b];
-                const Longword dif = min - sub;
-                regs_[bi.b] = dif;
-                regs_[PC] = instr_pc + bi.len;
-                psl_.setNzvc((dif & 0x80000000u) != 0, dif == 0,
-                             subOverflows(min, sub, dif), min < sub);
-                if (psl_.v() && psl_.flag(Psl::kIv)) {
-                    throw GuestFault::withParam(
-                        ScbVector::Arithmetic,
-                        arithcode::kIntegerOverflow, /*abort=*/false);
-                }
-                break;
-              }
-              case FusedKind::BisRR:
-              case FusedKind::BisIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword r =
-                    (bi.kind == FusedKind::BisRR ? regs_[bi.a]
-                                                 : bi.imm) |
-                    regs_[bi.b];
-                regs_[bi.b] = r;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(r, OpSize::L);
-                break;
-              }
-              case FusedKind::BicRR:
-              case FusedKind::BicIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword r =
-                    ~(bi.kind == FusedKind::BicRR ? regs_[bi.a]
-                                                  : bi.imm) &
-                    regs_[bi.b];
-                regs_[bi.b] = r;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(r, OpSize::L);
-                break;
-              }
-              case FusedKind::XorRR:
-              case FusedKind::XorIR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword r =
-                    (bi.kind == FusedKind::XorRR ? regs_[bi.a]
-                                                 : bi.imm) ^
-                    regs_[bi.b];
-                regs_[bi.b] = r;
-                regs_[PC] = instr_pc + bi.len;
-                setCcLogical(r, OpSize::L);
-                break;
-              }
-
-              case FusedKind::CmpRR:
-              case FusedKind::CmpIR:
-              case FusedKind::CmpRI: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                Longword x, y;
-                if (bi.kind == FusedKind::CmpRR) {
-                    x = regs_[bi.a];
-                    y = regs_[bi.b];
-                } else if (bi.kind == FusedKind::CmpIR) {
-                    x = bi.imm;
-                    y = regs_[bi.b];
-                } else {
-                    x = regs_[bi.a];
-                    y = bi.imm;
-                }
-                regs_[PC] = instr_pc + bi.len;
-                psl_.setNzvc(static_cast<std::int32_t>(x) <
-                                 static_cast<std::int32_t>(y),
-                             x == y, false, x < y);
-                break;
-              }
-
-              case FusedKind::Bra: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                regs_[PC] = bi.imm;
-                br_taken = true;
-                break;
-              }
-              case FusedKind::CondBr: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const bool nf = psl_.n(), zf = psl_.z(),
-                           vf = psl_.v(), cf = psl_.c();
-                bool taken = false;
-                switch (static_cast<Opcode>(bi.a)) {
-                  case Opcode::BNEQ: taken = !zf; break;
-                  case Opcode::BEQL: taken = zf; break;
-                  case Opcode::BGTR: taken = !(nf || zf); break;
-                  case Opcode::BLEQ: taken = nf || zf; break;
-                  case Opcode::BGEQ: taken = !nf; break;
-                  case Opcode::BLSS: taken = nf; break;
-                  case Opcode::BGTRU: taken = !(cf || zf); break;
-                  case Opcode::BLEQU: taken = cf || zf; break;
-                  case Opcode::BVC: taken = !vf; break;
-                  case Opcode::BVS: taken = vf; break;
-                  case Opcode::BCC: taken = !cf; break;
-                  case Opcode::BCS: taken = cf; break;
-                  default: break;
-                }
-                regs_[PC] = taken ? static_cast<VirtAddr>(bi.imm)
-                                  : instr_pc + bi.len;
-                br_taken = taken;
-                break;
-              }
-              case FusedKind::Sob: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const Longword orig = regs_[bi.a];
-                const Longword index = orig - 1;
-                regs_[bi.a] = index;
-                const auto si = static_cast<std::int32_t>(index);
-                const bool taken = bi.b != 0 ? si > 0 : si >= 0;
-                regs_[PC] = taken ? static_cast<VirtAddr>(bi.imm)
-                                  : instr_pc + bi.len;
-                br_taken = taken;
-                psl_.setNzvc(si < 0, si == 0,
-                             subOverflows(orig, 1, index), psl_.c());
-                if (psl_.v() && psl_.flag(Psl::kIv)) {
-                    throw GuestFault::withParam(
-                        ScbVector::Arithmetic,
-                        arithcode::kIntegerOverflow, /*abort=*/false);
-                }
-                break;
-              }
-              case FusedKind::BlbR: {
-                if (mapped)
-                    stats_.tlbHits += bi.fetchesPre;
-                const bool bit = (regs_[bi.a] & 1) != 0;
-                const bool taken = bit == (bi.b != 0);
-                regs_[PC] = taken ? static_cast<VirtAddr>(bi.imm)
-                                  : instr_pc + bi.len;
-                br_taken = taken;
-                break;
-              }
-            }
-            if (defer) {
-                ++done;
-                if (run_state_ != RunState::Halted)
-                    acc += charge;
-            } else {
-                stats_.instructions++;
-                stats_.blockInstructions++;
-                if (run_state_ != RunState::Halted)
-                    chargeCycles(CycleCategory::GuestExec, charge);
-            }
-        } catch (const GuestFault &fault) {
-            // The faulting instruction never entered the batch; the
-            // retired prefix must be on the books before the fault
-            // dispatch charges its own cycles.
-            flush();
-            dispatchFault(fault, instr_pc, regs_[PC]);
-            return BlockExit::Bailed;
-        }
-
-        // Mid-block hazards.  Non-memory instructions can only make
-        // an interrupt deliverable through the timer; stores can also
-        // raise device lines (MMIO) or rewrite the block itself.
-        if (bi.flags != 0) {
-            if (bi.flags & BlockInstr::kWritesMem) {
-                if (*blk.genCell != gen) {
-                    // Something wrote this page.  If the block's own
-                    // bytes changed, stop before the stale tail.
-                    if (std::memcmp(blk.hostPage +
-                                        (blk.pc & kPageOffsetMask),
-                                    blk.bytes.data(),
-                                    blk.byteLen) != 0) {
-                        flush();
-                        return BlockExit::Bailed;
-                    }
-                    gen = *blk.genCell;
-                    blk.validGen = gen; // bytes re-validated just now
-                }
-                if (run_state_ != RunState::Running ||
-                    pendingDeliverable()) {
-                    flush();
-                    return BlockExit::Bailed;
-                }
-            } else if (timer_live && pendingDeliverable()) {
-                flush();
-                return BlockExit::Bailed;
-            }
-            // A data-access walk may have evicted the entry the
-            // block's page is fetched through; the reference would
-            // take a TLB miss on the next instruction fetch.
-            if (win_entry && win_entry->tag != win_tag) {
-                flush();
-                return BlockExit::Bailed;
-            }
-        } else if (timer_live && pendingDeliverable()) {
-            flush();
-            return BlockExit::Bailed;
-        }
-    }
-    flush();
-
-    if (n != blk.count)
-        return BlockExit::Bailed; // truncated by the instruction budget
-
-    // Classify the exit for trace linking.  Only the fused branch
-    // kinds report a direction; everything else (fall-through into
-    // the next PC, or a Generic block-final transfer like JSB/RSB/
-    // JMP/CASE whose target is data-dependent) uses the Fall slot as
-    // a monomorphic inline cache keyed by the architectural PC.
-    switch (blk.instrs[n - 1].kind) {
-      case FusedKind::Bra:
-        return BlockExit::Taken;
-      case FusedKind::CondBr:
-      case FusedKind::Sob:
-      case FusedKind::BlbR:
-        return br_taken ? BlockExit::Taken : BlockExit::Fall;
-      default:
-        return BlockExit::Fall;
-    }
 }
 
 } // namespace vvax

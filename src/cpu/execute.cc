@@ -6,23 +6,11 @@
  */
 
 #include "cpu/cpu.h"
+#include "cpu/overflow.h"
 
 namespace vvax {
 
 namespace {
-
-constexpr bool
-addOverflows(Longword a, Longword b, Longword sum)
-{
-    return ((~(a ^ b)) & (a ^ sum) & 0x80000000u) != 0;
-}
-
-constexpr bool
-subOverflows(Longword min, Longword sub, Longword dif)
-{
-    // dif = min - sub
-    return (((min ^ sub)) & (min ^ dif) & 0x80000000u) != 0;
-}
 
 constexpr Longword
 signBit(OpSize size)

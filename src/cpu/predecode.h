@@ -12,14 +12,14 @@
  * template performs exactly the data accesses, register side effects
  * and counter updates the byte-level decode would.
  *
- * The threaded-code tier (threaded.{h,cc}, docs/ARCHITECTURE.md §5c)
- * builds on the same invariant one level up: a compiled program's
- * Generic steps carry a tmplIndex into the owning block's template
- * vector and replay it exactly as the switch executor does, so a
- * template is the unit of decode work shared by every tier above the
- * reference interpreter.  Templates are embedded in the Block, never
- * in the ThreadedProgram: invalidating the block (SMC, DMA, external
- * pokes) drops program and templates together through one funnel.
+ * The block executor (threaded.cc, docs/ARCHITECTURE.md §5c) builds
+ * on the same invariant one level up: a block's Generic instructions
+ * carry a tmplIndex into the block's template vector and replay it
+ * exactly as the per-instruction path does, so a template is the unit
+ * of decode work shared by every tier above the reference
+ * interpreter.  Templates and handler bindings both live in the
+ * Block: invalidating it (SMC, DMA, external pokes) drops them
+ * together through one funnel.
  */
 
 #ifndef VVAX_CPU_PREDECODE_H

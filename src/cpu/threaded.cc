@@ -1,179 +1,52 @@
 /**
  * @file
- * Threaded-code tier: the per-block compiler and the computed-goto
- * driver (docs/ARCHITECTURE.md §5c).
+ * The block executor: a computed-goto driver that retires every
+ * runnable superblock (docs/ARCHITECTURE.md §5c).
  *
- * executeThreaded() is a drop-in replacement for executeBlock() above
- * the trace threshold.  Instead of re-entering the FusedKind switch
- * for every instruction, the block is compiled once into a flat array
- * of ThreadedStep records whose handler fields are labels-as-values
- * inside the driver; execution is then `goto *s->handler` chains, one
- * indirect jump per retired instruction, with each handler's operand
- * closure (register numbers, immediates, displacements) pre-resolved
- * at compile time.  Sub-variants the switch resolved at run time -
- * memory-operand shape, condition-branch opcode, SOB/BLB sense - are
- * distinct handlers, so the bodies are branch-free where the switch
- * bodies were not.
+ * Each BlockInstr carries the label of its handler inside the driver
+ * (labels-as-values); the labels are bound in place the first time the
+ * driver enters a freshly built block, so execution is `goto
+ * *s->handler` chains, one indirect jump per retired instruction, with
+ * each handler's operand closure (register numbers, immediates,
+ * displacements) pre-resolved by classify().  Memory-operand shape,
+ * condition-branch opcode and SOB/BLB sense are distinct ops, so the
+ * handler bodies are branch-free.
  *
- * Everything architectural is copied verbatim from executeBlock and
- * must stay bit-identical: per-instruction Stats counters and cycle
- * charges (including the timer-off deferred batch, which now spans
- * trace-link crossings - legal because ICCS writes stop blocks, so
- * the batching predicate cannot flip mid-chain), the mid-block hazard
- * checks (page generation + byte memcmp after stores, window-TLB tag
- * after any data access, pending-interrupt re-check when the interval
- * timer could fire), and the fault path (flush the retired prefix,
- * then dispatch).  The lockstep suites in tests/test_equivalence.cc
- * pin this equivalence against both the switch executor and the
- * reference interpreter.
+ * Everything architectural must stay bit-identical to the reference
+ * interpreter: per-instruction Stats counters and cycle charges
+ * (including the timer-off deferred batch, which spans trace-link
+ * crossings - legal because ICCS writes stop blocks, so the batching
+ * predicate cannot flip mid-chain), the mid-block hazard checks (page
+ * generation + byte memcmp after stores, window-TLB tag after any data
+ * access, pending-interrupt re-check when the interval timer could
+ * fire), and the fault path (flush the retired prefix, then dispatch).
+ * The lockstep suites in tests/test_equivalence.cc pin this
+ * equivalence.
  *
- * Trace links chain compiled-program -> compiled-program inside the
- * driver: at a completed block exit the driver scores the lastDir
- * prediction, re-runs followLink's full guard set, and on success
- * jumps straight to the target's program (compiling it first if
- * needed) without returning to runBlocks.
+ * Trace links chain block -> block inside the driver: at a completed
+ * block exit the driver scores the lastDir prediction, re-runs
+ * followLink's full guard set, and on success jumps straight to the
+ * target without returning to runBlocks.
  */
 
-#include <cassert>
+#if !defined(__GNUC__)
+#error "the block executor needs labels-as-values (GCC or Clang)"
+#endif
+
 #include <cstring>
 
 #include "cpu/cpu.h"
+#include "cpu/overflow.h"
 
 namespace vvax {
 
-#if defined(__GNUC__) // labels-as-values: GCC and Clang
-
-namespace {
-
-// Shared with execute.cc / dispatch.cc (file-static there): overflow
-// predicates for the fused ALU handlers, which must set NZVC exactly
-// as the generic execute switch does.
-constexpr bool
-addOverflows(Longword a, Longword b, Longword sum)
-{
-    return ((~(a ^ b)) & (a ^ sum) & 0x80000000u) != 0;
-}
-
-constexpr bool
-subOverflows(Longword min, Longword sub, Longword dif)
-{
-    // dif = min - sub
-    return (((min ^ sub)) & (min ^ dif) & 0x80000000u) != 0;
-}
-
-/** Refine a BlockInstr's FusedKind into the handler label index. */
-TOp
-stepOp(const BlockInstr &bi)
-{
-    switch (bi.kind) {
-      case FusedKind::Generic: return kTopGeneric;
-      case FusedKind::MovRR: return kTopMovRR;
-      case FusedKind::MovIR: return kTopMovIR;
-      case FusedKind::MovMR:
-        return bi.b == 0xFF ? kTopMovMRabs : kTopMovMRreg;
-      case FusedKind::MovRM:
-        return bi.b == 0xFF ? kTopMovRMabs : kTopMovRMreg;
-      case FusedKind::MovIM:
-        return bi.b == 0xFF ? kTopMovIMabs : kTopMovIMreg;
-      case FusedKind::ClrR: return kTopClrR;
-      case FusedKind::TstR: return kTopTstR;
-      case FusedKind::IncR: return kTopIncR;
-      case FusedKind::DecR: return kTopDecR;
-      case FusedKind::AddRR: return kTopAddRR;
-      case FusedKind::AddIR: return kTopAddIR;
-      case FusedKind::SubRR: return kTopSubRR;
-      case FusedKind::SubIR: return kTopSubIR;
-      case FusedKind::BisRR: return kTopBisRR;
-      case FusedKind::BisIR: return kTopBisIR;
-      case FusedKind::BicRR: return kTopBicRR;
-      case FusedKind::BicIR: return kTopBicIR;
-      case FusedKind::XorRR: return kTopXorRR;
-      case FusedKind::XorIR: return kTopXorIR;
-      case FusedKind::CmpRR: return kTopCmpRR;
-      case FusedKind::CmpIR: return kTopCmpIR;
-      case FusedKind::CmpRI: return kTopCmpRI;
-      case FusedKind::Bra: return kTopBra;
-      case FusedKind::CondBr:
-        switch (static_cast<Opcode>(bi.a)) {
-          case Opcode::BNEQ: return kTopBneq;
-          case Opcode::BEQL: return kTopBeql;
-          case Opcode::BGTR: return kTopBgtr;
-          case Opcode::BLEQ: return kTopBleq;
-          case Opcode::BGEQ: return kTopBgeq;
-          case Opcode::BLSS: return kTopBlss;
-          case Opcode::BGTRU: return kTopBgtru;
-          case Opcode::BLEQU: return kTopBlequ;
-          case Opcode::BVC: return kTopBvc;
-          case Opcode::BVS: return kTopBvs;
-          case Opcode::BCC: return kTopBcc;
-          case Opcode::BCS: return kTopBcs;
-          default: break; // classify() never emits another opcode
-        }
-        return kTopGeneric;
-      case FusedKind::Sob:
-        return bi.b != 0 ? kTopSobGtr : kTopSobGeq;
-      case FusedKind::BlbR:
-        return bi.b != 0 ? kTopBlbs : kTopBlbc;
-    }
-    return kTopGeneric;
-}
-
-/** Exit classification for trace linking (executeBlock's final
- *  switch), resolved once at compile time. */
-Byte
-exitKindOf(const Block &blk)
-{
-    switch (blk.instrs[blk.count - 1].kind) {
-      case FusedKind::Bra:
-        return kThreadedExitBra;
-      case FusedKind::CondBr:
-      case FusedKind::Sob:
-      case FusedKind::BlbR:
-        return kThreadedExitCond;
-      default:
-        return kThreadedExitFall;
-    }
-}
-
-/**
- * Compile @p blk into a ThreadedProgram.  @p lab is the driver's
- * label table (label addresses are only visible inside the driver
- * function, so compilation happens on first entry there).  Never
- * fails: every FusedKind has a handler, Generic included.
- */
-void
-compileProgram(Block &blk, const void *const *lab, Stats &stats)
-{
-    assert(blk.runnable());
-    auto prog = std::make_unique<ThreadedProgram>();
-    prog->steps.resize(static_cast<std::size_t>(blk.count));
-    for (int i = 0; i < blk.count; ++i) {
-        const BlockInstr &bi = blk.instrs[i];
-        ThreadedStep &s = prog->steps[static_cast<std::size_t>(i)];
-        s.handler = lab[stepOp(bi)];
-        s.a = bi.a;
-        s.b = bi.b;
-        s.len = bi.len;
-        s.flags = bi.flags;
-        s.fetchesPre = bi.fetchesPre;
-        s.fetchesPost = bi.fetchesPost;
-        s.tmplIndex = bi.tmplIndex;
-        s.imm = bi.imm;
-        s.imm2 = bi.imm2;
-        s.charge = bi.charge;
-    }
-    prog->exitKind = exitKindOf(blk);
-    blk.prog = std::move(prog);
-    stats.threadedCompiles++;
-}
-
-} // namespace
-
 /*
- * Per-instruction commit, identical to the accounting block after
- * executeBlock's switch: with the timer off, sum into the deferred
- * batch; with it live, count and charge immediately so ICR advances
- * exactly where the reference path puts it.
+ * Per-instruction commit.  With ICCS<RUN> clear, advanceTimer only
+ * ever sums into TODR and the cycle counters - commutative, so summing
+ * into the deferred batch and charging once at every exit is
+ * bit-identical to per-instruction accounting.  With the timer live,
+ * count and charge immediately so ICR advances exactly where the
+ * reference path puts it.
  */
 #define VVAX_ACCOUNT(charge_v)                                        \
     do {                                                              \
@@ -221,7 +94,7 @@ compileProgram(Block &blk, const void *const *lab, Stats &stats)
     } while (0)
 
 /* Epilogue for stores (kWritesMem | kTouchesMem): re-check the page
- * generation (the store may have rewritten this very program), the
+ * generation (the store may have rewritten this very block), the
  * run state and pending summaries (MMIO can raise device lines
  * synchronously), then the window tag. */
 #define VVAX_EPI_WRITE()                                              \
@@ -384,10 +257,10 @@ Cpu::BlockExit
 Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
                      std::uint64_t limit)
 {
-    // Label table in TOp order; static because label addresses are
-    // stable for the process lifetime and the table must not be
+    // Label table in BlockOp order; static because label addresses
+    // are stable for the process lifetime and the table must not be
     // rebuilt per call.
-    static const void *const kLab[kTopCount] = {
+    static const void *const kLab[kNumBlockOps] = {
         &&L_Generic,  &&L_MovRR,    &&L_MovIR,    &&L_MovMRreg,
         &&L_MovMRabs, &&L_MovRMreg, &&L_MovRMabs, &&L_MovIMreg,
         &&L_MovIMabs, &&L_ClrR,     &&L_TstR,     &&L_IncR,
@@ -424,9 +297,8 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     // Per-block state, (re)established at `enter` for every block in
     // the chain.  Declared up front: the computed gotos and the
     // chain-crossing `goto enter` must not jump over initializations.
-    ThreadedProgram *prog = nullptr;
-    const ThreadedStep *s = nullptr;
-    const ThreadedStep *end = nullptr;
+    const BlockInstr *s = nullptr;
+    const BlockInstr *end = nullptr;
     bool mapped = false;
     std::uint64_t win_tag = 0;
     bool timer_live = false;
@@ -437,11 +309,14 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
 
     try {
     enter:
-        if (blk->prog == nullptr)
-            compileProgram(*blk, kLab, stats_);
-        prog = blk->prog.get();
-        prog->runs++;
-        stats_.threadedExecutions++;
+        if (!blk->resolved()) {
+            // First entry since the build: bind each op to its label.
+            for (int i = 0; i < blk->count; ++i)
+                blk->instrs[i].handler = kLab[blk->instrs[i].op];
+            stats_.threadedCompiles++;
+        }
+        blk->runs++;
+        stats_.blockExecutions++;
         mapped = win_entry != nullptr;
         win_tag = mapped ? win_entry->tag : 0;
         // Can the timer fire inside this block?  icr_ only moves by
@@ -457,11 +332,11 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
             const std::uint64_t remaining =
                 limit - stats_.instructions -
                 static_cast<std::uint64_t>(done);
-            std::size_t n = prog->steps.size();
+            std::size_t n = blk->count;
             truncated = remaining < n;
             if (truncated)
                 n = static_cast<std::size_t>(remaining);
-            s = prog->steps.data();
+            s = blk->instrs.data();
             end = s + n;
         }
         if (s == end)
@@ -483,7 +358,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
                 d.info->baseCycles * cost_.instructionScalePct / 100;
         }
         VVAX_ACCOUNT(charge);
-        // Hazard flags are dynamic only here: fused kinds bake their
+        // Hazard flags are dynamic only here: fused ops bake their
         // epilogue into the handler.
         if (s->flags != 0) {
             if (s->flags & BlockInstr::kWritesMem) {
@@ -628,26 +503,25 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
 
     block_done:
         if (truncated) {
-            // Ran out of instruction budget mid-program: exactly
-            // executeBlock's truncated-run Bailed.
+            // Ran out of instruction budget mid-block.
             flush();
-            prog->bails[static_cast<int>(ThreadedBail::Budget)]++;
+            blk->bails[static_cast<int>(ThreadedBail::Budget)]++;
             stats_.threadedBails++;
             blk_ref = blk;
             return BlockExit::Bailed;
         }
         {
+            // Only the fused branch ops (always block-final) set
+            // br_taken; everything else - fall-through into the next
+            // PC, or a Generic block-final transfer like JSB/RSB/JMP/
+            // CASE whose target is data-dependent - uses the Fall slot
+            // as a monomorphic inline cache keyed by the architectural
+            // PC.
             const BlockExit exit =
-                prog->exitKind == kThreadedExitBra
-                    ? BlockExit::Taken
-                    : prog->exitKind == kThreadedExitCond
-                          ? (br_taken ? BlockExit::Taken
-                                      : BlockExit::Fall)
-                          : BlockExit::Fall;
-            // Chain compiled-program -> compiled-program through the
-            // trace links.  Mirrors runBlocks' post-exit sequence:
-            // stop on anything deliverable, score the lastDir
-            // prediction, then re-run followLink's full guard set.
+                br_taken ? BlockExit::Taken : BlockExit::Fall;
+            // Chain block -> block through the trace links: stop on
+            // anything deliverable, score the lastDir prediction, then
+            // re-run followLink's full guard set.
             if (run_state_ != RunState::Running || pendingDeliverable()) {
                 flush();
                 blk_ref = blk;
@@ -671,34 +545,33 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
                 blk_ref = blk;
                 return exit;
             }
-            stats_.blockExecutions++;
             blk = next;
             win_entry = nentry;
         }
         goto enter;
 
     bail_smc:
-        // A store changed this program's own bytes: stop before the
+        // A store changed this block's own bytes: stop before the
         // stale tail (the slow path will re-validate and rebuild).
         flush();
-        prog->bails[static_cast<int>(ThreadedBail::Smc)]++;
+        blk->bails[static_cast<int>(ThreadedBail::Smc)]++;
         stats_.threadedBails++;
         blk_ref = blk;
         return BlockExit::Bailed;
 
     bail_interrupt:
         flush();
-        prog->bails[static_cast<int>(ThreadedBail::Interrupt)]++;
+        blk->bails[static_cast<int>(ThreadedBail::Interrupt)]++;
         stats_.threadedBails++;
         blk_ref = blk;
         return BlockExit::Bailed;
 
     bail_tlb:
-        // A data-access walk evicted the entry the program's page is
+        // A data-access walk evicted the entry the block's page is
         // fetched through; the reference would take a TLB miss on the
         // next instruction fetch.
         flush();
-        prog->bails[static_cast<int>(ThreadedBail::TlbEvict)]++;
+        blk->bails[static_cast<int>(ThreadedBail::TlbEvict)]++;
         stats_.threadedBails++;
         blk_ref = blk;
         return BlockExit::Bailed;
@@ -708,24 +581,11 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         // dispatch charges its own cycles.
         flush();
         dispatchFault(fault, instr_pc, regs_[PC]);
-        prog->bails[static_cast<int>(ThreadedBail::Fault)]++;
+        blk->bails[static_cast<int>(ThreadedBail::Fault)]++;
         stats_.threadedBails++;
         blk_ref = blk;
         return BlockExit::Bailed;
     }
 }
-
-#else // !__GNUC__: no labels-as-values
-
-Cpu::BlockExit
-Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
-                     std::uint64_t limit)
-{
-    // Degrade gracefully: the switch executor is architecturally
-    // identical, just not threaded.
-    return executeBlock(*blk_ref, win_entry, limit);
-}
-
-#endif
 
 } // namespace vvax

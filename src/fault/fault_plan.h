@@ -13,7 +13,7 @@
  * per-VM disk-op count, the global timer-tick count, the batch-ring
  * count) and never on host state, the same plan produces bit-identical
  * behaviour on the host fast path and the reference interpreter
- * (VVAX_REFERENCE_PATH=1) — injected faults stay inside the lockstep
+ * (VVAX_EXEC_TIER=ref) — injected faults stay inside the lockstep
  * envelope the equivalence tests check.
  *
  * Injection sites (docs/ARCHITECTURE.md Section 6):

@@ -1,7 +1,5 @@
 #include "memory/mmu.h"
 
-#include <cstdlib>
-
 namespace vvax {
 
 Mmu::Mmu(PhysicalMemory &memory, const CostModel &cost, Stats &stats)
@@ -10,8 +8,6 @@ Mmu::Mmu(PhysicalMemory &memory, const CostModel &cost, Stats &stats)
     ram_base_ = memory_.ram().data();
     ram_limit_ = memory_.ramSize();
     page_gen_base_ = memory_.pageGenData();
-    if (std::getenv("VVAX_REFERENCE_PATH") != nullptr)
-        fast_enabled_ = false;
 }
 
 Mmu::ProbeResult

@@ -21,10 +21,9 @@
  * permission verdict.  The fast path takes exactly the accesses the
  * full path would complete on a TLB hit, performs the identical
  * counter updates, and falls back to the full path for everything
- * else, so every architectural counter stays bit-identical.  Setting
- * the environment variable VVAX_REFERENCE_PATH (or calling
- * setReferencePath(true)) disables it for lockstep equivalence
- * testing.
+ * else, so every architectural counter stays bit-identical.  Calling
+ * setReferencePath(true) - or selecting VVAX_EXEC_TIER=ref, which does
+ * so - disables it for lockstep equivalence testing.
  */
 
 #ifndef VVAX_MEMORY_MMU_H

@@ -88,7 +88,6 @@ Stats::operator+=(const Stats &other)
     traceLinksSevered += other.traceLinksSevered;
     traceLinkMispredicts += other.traceLinkMispredicts;
     threadedCompiles += other.threadedCompiles;
-    threadedExecutions += other.threadedExecutions;
     threadedInstructions += other.threadedInstructions;
     threadedBails += other.threadedBails;
     threadedDiscards += other.threadedDiscards;
@@ -161,9 +160,8 @@ Stats::print(std::ostream &os) const
            << traceLinksTaken << " taken, " << traceLinksSevered
            << " severed, " << traceLinkMispredicts << " mispredicted\n";
     }
-    if (threadedCompiles != 0 || threadedExecutions != 0) {
-        os << "threaded tier: " << threadedCompiles << " compiled, "
-           << threadedExecutions << " executed, "
+    if (threadedCompiles != 0) {
+        os << "threaded tier: " << threadedCompiles << " resolved, "
            << threadedInstructions << " instructions, " << threadedBails
            << " bails, " << threadedDiscards << " discarded\n";
     }

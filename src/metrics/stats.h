@@ -106,14 +106,13 @@ struct Stats
      *  probe order's prediction).  Host-side. */
     std::uint64_t traceLinkMispredicts = 0;
 
-    // Threaded-code tier observability (docs/ARCHITECTURE.md §5c).
+    // Block executor observability (docs/ARCHITECTURE.md §5c).
     // Host-side like the block counters above: excluded from
     // operator==.
-    std::uint64_t threadedCompiles = 0;     //!< blocks compiled to programs
-    std::uint64_t threadedExecutions = 0;   //!< program entries run
+    std::uint64_t threadedCompiles = 0;     //!< blocks bound to handlers
     std::uint64_t threadedInstructions = 0; //!< instructions retired threaded
-    std::uint64_t threadedBails = 0;        //!< abnormal program exits
-    std::uint64_t threadedDiscards = 0;     //!< programs dropped on invalidation
+    std::uint64_t threadedBails = 0;        //!< abnormal driver exits
+    std::uint64_t threadedDiscards = 0;     //!< bound blocks invalidated
 
     // Golden-image CoW forking gauges (docs/ARCHITECTURE.md §8),
     // published by PhysicalMemory::publishCowStats / the fleet at

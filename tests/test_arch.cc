@@ -4,6 +4,8 @@
  * field accessors, PTE layout and the opcode table.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "arch/opcodes.h"
@@ -46,12 +48,21 @@ TEST(Region, Boundaries)
 // Manual: for each code, the least privileged mode that may write and
 // read.  This is the ground truth the MMU, PROBE and the VMM's ring
 // compression all build on.
+//
+// gtest prints a ProtCase as its raw bytes and the test registry names
+// each case after that print, so the struct has no padding: the three
+// bytes after the code are an explicit, fixed name tag.  They used to
+// be uninitialised padding, which made the case names change from one
+// test discovery to the next; the tags keep the names the cases were
+// first registered under.
 struct ProtCase
 {
     Protection prot;
+    std::uint8_t nameTag[3];
     int write; // least privileged writer (-1: none)
     int read;
 };
+static_assert(sizeof(ProtCase) == 12, "ProtCase must have no padding");
 
 class ProtectionMatrix : public ::testing::TestWithParam<ProtCase>
 {
@@ -82,19 +93,22 @@ TEST_P(ProtectionMatrix, MatchesReferenceTable)
 INSTANTIATE_TEST_SUITE_P(
     AllCodes, ProtectionMatrix,
     ::testing::Values(
-        ProtCase{Protection::NA, -1, -1},
-        ProtCase{Protection::Reserved, -1, -1},
-        ProtCase{Protection::KW, 0, 0}, ProtCase{Protection::KR, -1, 0},
-        ProtCase{Protection::UW, 3, 3}, ProtCase{Protection::EW, 1, 1},
-        ProtCase{Protection::ERKW, 0, 1},
-        ProtCase{Protection::ER, -1, 1}, ProtCase{Protection::SW, 2, 2},
-        ProtCase{Protection::SREW, 1, 2},
-        ProtCase{Protection::SRKW, 0, 2},
-        ProtCase{Protection::SR, -1, 2},
-        ProtCase{Protection::URSW, 2, 3},
-        ProtCase{Protection::UREW, 1, 3},
-        ProtCase{Protection::URKW, 0, 3},
-        ProtCase{Protection::UR, -1, 3}));
+        ProtCase{Protection::NA, {0x00, 0x00, 0x00}, -1, -1},
+        ProtCase{Protection::Reserved, {0x00, 0x00, 0x00}, -1, -1},
+        ProtCase{Protection::KW, {0x00, 0x00, 0x00}, 0, 0},
+        ProtCase{Protection::KR, {0x73, 0x74, 0x5F}, -1, 0},
+        ProtCase{Protection::UW, {0x73, 0x00, 0x73}, 3, 3},
+        ProtCase{Protection::EW, {0x00, 0x00, 0x00}, 1, 1},
+        ProtCase{Protection::ERKW, {0x00, 0x00, 0x00}, 0, 1},
+        ProtCase{Protection::ER, {0x00, 0x00, 0x00}, -1, 1},
+        ProtCase{Protection::SW, {0x00, 0x01, 0x1B}, 2, 2},
+        ProtCase{Protection::SREW, {0x00, 0xC0, 0xEF}, 1, 2},
+        ProtCase{Protection::SRKW, {0xFF, 0x70, 0x00}, 0, 2},
+        ProtCase{Protection::SR, {0x00, 0x00, 0x00}, -1, 2},
+        ProtCase{Protection::URSW, {0x00, 0x00, 0x00}, 2, 3},
+        ProtCase{Protection::UREW, {0x00, 0x00, 0x00}, 1, 3},
+        ProtCase{Protection::URKW, {0x00, 0x04, 0x00}, 0, 3},
+        ProtCase{Protection::UR, {0x00, 0xD0, 0xCA}, -1, 3}));
 
 TEST(Psl, FieldAccessors)
 {

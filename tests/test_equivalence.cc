@@ -218,8 +218,8 @@ TEST(EquivalenceTimer, VirtualizationSurvivesPreemption)
 // The interpreter's host fast path (pointer-carrying TLB entries, the
 // decoder's zero-copy instruction window, the predecoded-instruction
 // cache) must be invisible: running the same workload with the fast
-// path disabled (Mmu::setReferencePath, the VVAX_REFERENCE_PATH
-// switch) must yield bit-identical architectural state AND
+// path disabled (Mmu::setReferencePath, which VVAX_EXEC_TIER=ref
+// selects) must yield bit-identical architectural state AND
 // bit-identical Stats counters (docs/ARCHITECTURE.md, "Host fast path
 // vs simulated cost model").
 
@@ -448,14 +448,13 @@ lockstepTrapDenseVirtual(bool reference)
  * TLB/cycle accounting while invalidating.
  */
 MachineDigest
-lockstepSmcBare(bool cross_page, bool reference,
-                ExecTier tier = ExecTier::Threaded)
+lockstepSmcBare(bool cross_page, bool reference)
 {
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -469,15 +468,14 @@ lockstepSmcBare(bool cross_page, bool reference,
 
 /** The same self-modifying guest inside a virtual machine. */
 MachineDigest
-lockstepSmcVirtual(bool cross_page, bool reference,
-                   ExecTier tier = ExecTier::Threaded)
+lockstepSmcVirtual(bool cross_page, bool reference)
 {
     MachineConfig mc;
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
@@ -495,8 +493,7 @@ lockstepSmcVirtual(bool cross_page, bool reference,
  * The stale block must be dropped at its next entry validation.
  */
 MachineDigest
-lockstepExternalPatch(bool reference,
-                      ExecTier tier = ExecTier::Threaded)
+lockstepExternalPatch(bool reference)
 {
     CodeBuilder b(0x200);
     b.movl(Op::imm(100), Op::reg(R6));
@@ -511,7 +508,7 @@ lockstepExternalPatch(bool reference,
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(loop) + 1;
@@ -544,15 +541,14 @@ lockstepExternalPatch(bool reference,
  */
 MachineDigest
 lockstepBranchPatchBare(bool cross_page, bool reference,
-                        bool links = true,
-                        ExecTier tier = ExecTier::Threaded)
+                        bool links = true)
 {
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(ExecTier::Threaded);
     m.cpu().setTraceLinksEnabled(links);
-    m.cpu().setExecTier(tier);
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -574,15 +570,14 @@ lockstepBranchPatchBare(bool cross_page, bool reference,
 
 /** The branch-patching guest inside a virtual machine. */
 MachineDigest
-lockstepBranchPatchVirtual(bool cross_page, bool reference,
-                           ExecTier tier = ExecTier::Threaded)
+lockstepBranchPatchVirtual(bool cross_page, bool reference)
 {
     MachineConfig mc;
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
@@ -607,8 +602,7 @@ lockstepBranchPatchVirtual(bool cross_page, bool reference,
  * stale block and sever every inbound edge.
  */
 MachineDigest
-lockstepExternalLinkSever(bool reference,
-                          ExecTier tier = ExecTier::Threaded)
+lockstepExternalLinkSever(bool reference)
 {
     CodeBuilder b(0x200);
     b.movl(Op::imm(400), Op::reg(R6));
@@ -627,7 +621,7 @@ lockstepExternalLinkSever(bool reference,
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(next) + 1;
@@ -659,8 +653,7 @@ lockstepExternalLinkSever(bool reference,
 
 /** The external link-severing poke against a guest inside a VM. */
 MachineDigest
-lockstepExternalLinkSeverVirtual(bool reference,
-                                 ExecTier tier = ExecTier::Threaded)
+lockstepExternalLinkSeverVirtual(bool reference)
 {
     CodeBuilder b(0x200);
     b.movl(Op::imm(20000), Op::reg(R6));
@@ -680,7 +673,7 @@ lockstepExternalLinkSeverVirtual(bool reference,
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
     m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(tier);
+    m.cpu().setExecTier(ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     auto image = b.finish();
@@ -904,72 +897,25 @@ TEST(FastPathLockstep, TraceLinksDisabledMatchesEnabled)
 }
 
 // ---------------------------------------------------------------------------
-// Threaded-code tier (docs/ARCHITECTURE.md §5c): the same adversarial
-// guests - self-modifying code, branches patched inside linked traces,
-// external pokes landing between run() calls - retired through
-// compiled handler chains.  The digests must match both the reference
-// interpreter (the tests above already pin that, since Threaded is the
-// default tier) and the switch executor, so the two host strategies
-// can never drift apart.
+// Block executor (docs/ARCHITECTURE.md §5c): every runnable superblock
+// retires through the threaded driver, so the adversarial guests above
+// - self-modifying code, branches patched inside linked traces,
+// external pokes landing between run() calls - already pin it against
+// the reference interpreter.  The tests below guard that the driver
+// really is the only block executor, cold blocks and faults included.
 // ---------------------------------------------------------------------------
-
-TEST(ThreadedTierLockstep, SmcPatchMatchesSwitchExecutorBare)
-{
-    expectDigestsEqual(
-        lockstepSmcBare(false, false, ExecTier::Threaded),
-        lockstepSmcBare(false, false, ExecTier::Blocks));
-}
-
-TEST(ThreadedTierLockstep, SmcPatchMatchesSwitchExecutorVirtualized)
-{
-    expectDigestsEqual(
-        lockstepSmcVirtual(true, false, ExecTier::Threaded),
-        lockstepSmcVirtual(true, false, ExecTier::Blocks));
-}
-
-TEST(ThreadedTierLockstep, BranchPatchMatchesSwitchExecutorBare)
-{
-    expectDigestsEqual(
-        lockstepBranchPatchBare(false, false, true,
-                                ExecTier::Threaded),
-        lockstepBranchPatchBare(false, false, true,
-                                ExecTier::Blocks));
-}
 
 TEST(ThreadedTierLockstep, BranchPatchMatchesReferenceBare)
 {
-    expectDigestsEqual(
-        lockstepBranchPatchBare(true, false, true,
-                                ExecTier::Threaded),
-        lockstepBranchPatchBare(true, true));
-}
-
-TEST(ThreadedTierLockstep, BranchPatchMatchesSwitchExecutorVirtualized)
-{
-    expectDigestsEqual(
-        lockstepBranchPatchVirtual(false, false, ExecTier::Threaded),
-        lockstepBranchPatchVirtual(false, false, ExecTier::Blocks));
-}
-
-TEST(ThreadedTierLockstep, ExternalPokeMatchesSwitchExecutor)
-{
-    expectDigestsEqual(
-        lockstepExternalLinkSever(false, ExecTier::Threaded),
-        lockstepExternalLinkSever(false, ExecTier::Blocks));
-}
-
-TEST(ThreadedTierLockstep, ExternalPokeMatchesSwitchExecutorVirtualized)
-{
-    expectDigestsEqual(
-        lockstepExternalLinkSeverVirtual(false, ExecTier::Threaded),
-        lockstepExternalLinkSeverVirtual(false, ExecTier::Blocks));
+    expectDigestsEqual(lockstepBranchPatchBare(true, false),
+                       lockstepBranchPatchBare(true, true));
 }
 
 TEST(ThreadedTierLockstep, HotBlocksRetireThroughCompiledPrograms)
 {
-    // Guard against a silent fallback: the driver must actually
-    // compile and retire instructions, not quietly route everything
-    // back through the switch.
+    // Guard against a silent fallback: the driver must actually bind
+    // handlers and retire instructions, not quietly route everything
+    // through the per-instruction path.
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
@@ -990,14 +936,88 @@ TEST(ThreadedTierLockstep, HotBlocksRetireThroughCompiledPrograms)
     EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
     EXPECT_EQ(m.cpu().reg(0), 2000u);
     EXPECT_GT(m.stats().threadedCompiles, 0u);
-    EXPECT_GT(m.stats().threadedExecutions, 0u);
     EXPECT_GT(m.stats().threadedInstructions, 0u);
+    EXPECT_EQ(m.stats().threadedInstructions, m.stats().blockInstructions);
+}
+
+/**
+ * A loop whose blocks each run fewer than Block::kLinkThreshold times,
+ * with an integer-overflow trap raised in the middle of the loop body
+ * on the third pass.  The handler counts the trap in R9 and REIs back
+ * to the instruction after the overflowing ADDL2.  The body mixes
+ * fused ops, a Generic template replay (ADDL3) and a store.
+ */
+MachineDigest
+lockstepColdBlocksWithFault(bool reference, std::uint64_t *links_formed)
+{
+    constexpr PhysAddr kScb = 0x1200;
+    CodeBuilder b(0x200);
+    Label loop = b.newLabel();
+    Label handler = b.newLabel();
+    b.movl(Op::imm(6), Op::reg(R6));
+    b.movl(Op::imm(0x7FFFFFFD), Op::reg(R3));
+    b.movl(Op::imm(0x3000), Op::reg(R5));
+    b.clrl(Op::reg(R0));
+    b.bind(loop);
+    b.addl2(Op::lit(1), Op::reg(R0));
+    b.addl3(Op::reg(R0), Op::reg(R0), Op::reg(R2));
+    b.movl(Op::reg(R2), Op::deferred(R5));
+    b.addl2(Op::lit(1), Op::reg(R3)); // overflows on the third pass
+    b.incl(Op::reg(R4));
+    b.sobgtr(Op::reg(R6), loop);
+    b.halt();
+    b.align(4);
+    b.bind(handler);
+    b.addl2(Op::lit(4), Op::reg(SP)); // pop the trap code
+    b.incl(Op::reg(R9));
+    b.rei();
+
+    MachineConfig mc;
+    mc.level = MicrocodeLevel::Modified;
+    RealMachine m(mc);
+    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(ExecTier::Threaded);
+    auto image = b.finish();
+    m.loadImage(b.origin(), image);
+    m.cpu().setScbb(kScb);
+    m.memory().write32(kScb + static_cast<PhysAddr>(ScbVector::Arithmetic),
+                       b.labelAddress(handler));
+    m.cpu().setPc(b.origin());
+    m.cpu().psl().setIpl(0);
+    m.cpu().psl().setFlag(Psl::kIv, true);
+    m.cpu().setReg(SP, 0x1000);
+    m.run(100000);
+    EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+    EXPECT_EQ(m.cpu().reg(R9), 1u) << "exactly one overflow trap";
+    EXPECT_EQ(m.cpu().reg(R0), 6u);
+    EXPECT_EQ(m.cpu().reg(R4), 6u);
+    EXPECT_EQ(m.memory().read32(0x3000), 12u);
+    *links_formed = m.stats().traceLinksFormed;
+    return digestOf(m);
+}
+
+TEST(ThreadedTierLockstep, ColdBlocksRetireThroughTheDriver)
+{
+    std::uint64_t fast_links = 0;
+    std::uint64_t ref_links = 0;
+    const MachineDigest fast = lockstepColdBlocksWithFault(false, &fast_links);
+    const MachineDigest ref = lockstepColdBlocksWithFault(true, &ref_links);
+    EXPECT_EQ(fast_links, 0u) << "every block must stay below the "
+                                 "link threshold";
+    EXPECT_GT(fast.stats.blockInstructions, 0u);
+    EXPECT_EQ(fast.stats.threadedInstructions,
+              fast.stats.blockInstructions)
+        << "cold blocks must retire through the threaded driver";
+    // Interrupts stay masked, mapping is off and the budget is ample,
+    // so the one bail is the overflow trap leaving a block mid-run.
+    EXPECT_EQ(fast.stats.threadedBails, 1u);
+    expectDigestsEqual(fast, ref);
 }
 
 TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
 {
-    // The per-tier ctest sweep in run_all.sh presets VVAX_EXEC_TIER;
-    // stash it so this test checks the parser, not the sweep's pick.
+    // Stash any preset VVAX_EXEC_TIER so this test checks the parser,
+    // not the caller's pick.
     const char *prior = getenv("VVAX_EXEC_TIER");
     const std::string saved = prior != nullptr ? prior : "";
     unsetenv("VVAX_EXEC_TIER");
@@ -1005,11 +1025,6 @@ TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
         RealMachine m;
         EXPECT_EQ(m.cpu().execTier(), ExecTier::Threaded)
             << "threaded is the default tier";
-    }
-    setenv("VVAX_EXEC_TIER", "blocks", 1);
-    {
-        RealMachine m;
-        EXPECT_EQ(m.cpu().execTier(), ExecTier::Blocks);
     }
     setenv("VVAX_EXEC_TIER", "fast", 1);
     {
@@ -1023,11 +1038,11 @@ TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
         EXPECT_TRUE(m.mmu().referencePath())
             << "the ref tier implies the MMU reference path";
     }
-    setenv("VVAX_EXEC_TIER", "bogus", 1);
-    {
+    for (const char *unknown : {"bogus", "blocks"}) {
+        setenv("VVAX_EXEC_TIER", unknown, 1);
         RealMachine m;
         EXPECT_EQ(m.cpu().execTier(), ExecTier::Threaded)
-            << "unknown values keep the default";
+            << "unknown value '" << unknown << "' keeps the default";
         EXPECT_FALSE(m.mmu().referencePath());
     }
     if (prior != nullptr)
@@ -1038,24 +1053,17 @@ TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
 
 TEST(FastPathLockstep, EnvironmentVariableDisablesTraceLinks)
 {
-    {
-        RealMachine m;
-        EXPECT_TRUE(m.cpu().traceLinksEnabled())
-            << "trace links are the default";
-    }
+    // Trace links are on by default, and only setTraceLinksEnabled
+    // turns them off: the retired VVAX_NO_TRACE_LINKS variable is
+    // ignored.
     setenv("VVAX_NO_TRACE_LINKS", "1", 1);
     {
         RealMachine m;
+        EXPECT_TRUE(m.cpu().traceLinksEnabled());
+        m.cpu().setTraceLinksEnabled(false);
         EXPECT_FALSE(m.cpu().traceLinksEnabled());
     }
     unsetenv("VVAX_NO_TRACE_LINKS");
-    setenv("VVAX_TRACE_THRESHOLD", "3", 1);
-    {
-        RealMachine m;
-        EXPECT_TRUE(m.cpu().traceLinksEnabled());
-        EXPECT_EQ(m.cpu().traceLinkThreshold(), 3u);
-    }
-    unsetenv("VVAX_TRACE_THRESHOLD");
 }
 
 TEST(FastPathLockstep, MiniUltrixBootVirtualized)

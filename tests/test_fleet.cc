@@ -491,7 +491,7 @@ TEST(FleetDeterminism, MixedExecTiersAreLockstepAndWorkerCountInvariant)
     // match the uniform-threaded fleet, and the mixed fleet must stay
     // bit-identical across worker counts.
     const std::vector<ExecTier> tiers = {
-        ExecTier::Threaded, ExecTier::Blocks, ExecTier::Fast,
+        ExecTier::Threaded, ExecTier::Fast, ExecTier::Reference,
         ExecTier::Threaded};
     const FleetOutcome uniform = runMixedFleet(2);
     const FleetOutcome mixed2 = runMixedFleet(2, nullptr, &tiers);
@@ -845,8 +845,8 @@ TEST(FleetFork, MixedExecTiersOverForksAreLockstep)
     // nor on the worker count.
     const GoldenImage gold = sealedMiniVmsImage(400);
     const std::vector<ExecTier> tiers = {
-        ExecTier::Threaded, ExecTier::Blocks, ExecTier::Fast,
-        ExecTier::Reference};
+        ExecTier::Threaded, ExecTier::Fast, ExecTier::Reference,
+        ExecTier::Threaded};
     const FleetOutcome uniform = runForkedFleet(2, gold);
     const FleetOutcome mixed2 = runForkedFleet(2, gold, nullptr, &tiers);
     const FleetOutcome mixed4 = runForkedFleet(4, gold, nullptr, &tiers);
