@@ -2,6 +2,7 @@
 
 #include <iomanip>
 #include <ostream>
+#include <string>
 
 #include "arch/scb.h"
 
@@ -51,84 +52,82 @@ Stats::clear()
     *this = Stats{};
 }
 
+namespace {
+
+void
+addField(std::uint64_t &into, std::uint64_t from)
+{
+    into += from;
+}
+
+template <std::size_t N>
+void
+addField(std::array<std::uint64_t, N> &into,
+         const std::array<std::uint64_t, N> &from)
+{
+    for (std::size_t i = 0; i < N; ++i)
+        into[i] += from[i];
+}
+
+const char *
+tagName(StatsTag tag)
+{
+    switch (tag) {
+      case StatsTag::Arch:  return "arch";
+      case StatsTag::Host:  return "host";
+      case StatsTag::Gauge: return "gauge";
+    }
+    return "?";
+}
+
+void
+printScalar(std::ostream &os, StatsTag tag, const char *name,
+            std::uint64_t value)
+{
+    if (value != 0) {
+        os << "  " << std::setw(6) << tagName(tag) << std::setw(24) << name
+           << value << "\n";
+    }
+}
+
+/** Arrays print as the named tables at the end of Stats::print. */
+template <std::size_t N>
+void
+printScalar(std::ostream &, StatsTag, const char *,
+            const std::array<std::uint64_t, N> &)
+{
+}
+
+} // namespace
+
 Stats &
 Stats::operator+=(const Stats &other)
 {
-    instructions += other.instructions;
-    for (int i = 0; i < kNumCycleCategories; ++i)
-        cycles[i] += other.cycles[i];
-    for (std::size_t i = 0; i < dispatches.size(); ++i)
-        dispatches[i] += other.dispatches[i];
-    tlbHits += other.tlbHits;
-    tlbMisses += other.tlbMisses;
-    hardwareModifySets += other.hardwareModifySets;
-    modifyFaults += other.modifyFaults;
-    translationFaults += other.translationFaults;
-    accessViolations += other.accessViolations;
-    vmEmulationTraps += other.vmEmulationTraps;
-    interruptsTaken += other.interruptsTaken;
-    waitInstructions += other.waitInstructions;
-    tlbFlushAll += other.tlbFlushAll;
-    tlbFlushProcess += other.tlbFlushProcess;
-    tlbFlushSingle += other.tlbFlushSingle;
-    tlbContextSwitches += other.tlbContextSwitches;
-    for (std::size_t i = 0; i < vmTrapOpcodes.size(); ++i)
-        vmTrapOpcodes[i] += other.vmTrapOpcodes[i];
-    for (int i = 0; i < kNumFaultClasses; ++i)
-        faultsInjected[i] += other.faultsInjected[i];
-    machineChecksDelivered += other.machineChecksDelivered;
-    diskRetries += other.diskRetries;
-    vmRestarts += other.vmRestarts;
-    blockBuilds += other.blockBuilds;
-    blockExecutions += other.blockExecutions;
-    blockInstructions += other.blockInstructions;
-    blockInvalidations += other.blockInvalidations;
-    traceLinksFormed += other.traceLinksFormed;
-    traceLinksTaken += other.traceLinksTaken;
-    traceLinksSevered += other.traceLinksSevered;
-    traceLinkMispredicts += other.traceLinkMispredicts;
-    threadedCompiles += other.threadedCompiles;
-    threadedInstructions += other.threadedInstructions;
-    threadedBails += other.threadedBails;
-    threadedDiscards += other.threadedDiscards;
-    cowForkedRam += other.cowForkedRam;
-    cowKernelBacked += other.cowKernelBacked;
-    cowPagesTouched += other.cowPagesTouched;
-    cowPrivateBytes += other.cowPrivateBytes;
-    cowSharedBytes += other.cowSharedBytes;
-    cowDiskBlocksTouched += other.cowDiskBlocksTouched;
-    supHealthTransitions += other.supHealthTransitions;
-    supMicroreboots += other.supMicroreboots;
-    supQuarantines += other.supQuarantines;
-    supPagesRecopied += other.supPagesRecopied;
-    supTimeInDegraded += other.supTimeInDegraded;
+#define VVAX_STATS_ADD(tag, type, name) addField(name, other.name);
+    VVAX_STATS_FIELDS(VVAX_STATS_ADD)
+#undef VVAX_STATS_ADD
     return *this;
 }
 
 bool
 Stats::operator==(const Stats &other) const
 {
-    // Architectural counters only; the block* members are host-side
-    // (see the declaration comment) and must not break lockstep.
-    return instructions == other.instructions &&
-           cycles == other.cycles && dispatches == other.dispatches &&
-           tlbHits == other.tlbHits && tlbMisses == other.tlbMisses &&
-           hardwareModifySets == other.hardwareModifySets &&
-           modifyFaults == other.modifyFaults &&
-           translationFaults == other.translationFaults &&
-           accessViolations == other.accessViolations &&
-           vmEmulationTraps == other.vmEmulationTraps &&
-           interruptsTaken == other.interruptsTaken &&
-           waitInstructions == other.waitInstructions &&
-           tlbFlushAll == other.tlbFlushAll &&
-           tlbFlushProcess == other.tlbFlushProcess &&
-           tlbFlushSingle == other.tlbFlushSingle &&
-           tlbContextSwitches == other.tlbContextSwitches &&
-           faultsInjected == other.faultsInjected &&
-           machineChecksDelivered == other.machineChecksDelivered &&
-           diskRetries == other.diskRetries &&
-           vmRestarts == other.vmRestarts &&
-           vmTrapOpcodes == other.vmTrapOpcodes;
+#define VVAX_STATS_EQ(tag, type, name)                                 \
+    if (StatsTag::tag == StatsTag::Arch && !(name == other.name))      \
+        return false;
+    VVAX_STATS_FIELDS(VVAX_STATS_EQ)
+#undef VVAX_STATS_EQ
+    return true;
+}
+
+void
+Stats::retireGauges()
+{
+#define VVAX_STATS_RETIRE(tag, type, name)                             \
+    if (StatsTag::tag == StatsTag::Gauge)                              \
+        name = type{};
+    VVAX_STATS_FIELDS(VVAX_STATS_RETIRE)
+#undef VVAX_STATS_RETIRE
 }
 
 void
@@ -146,48 +145,15 @@ Stats::print(std::ostream &os) const
     os << "  " << std::setw(20) << std::left << "total" << totalCycles()
        << "\n";
     os << "tlb: " << tlbHits << " hits, " << tlbMisses << " misses\n";
-    os << "tlb maintenance: " << tlbFlushAll << " tbia, "
-       << tlbFlushProcess << " tbia-process, " << tlbFlushSingle
-       << " tbis, " << tlbContextSwitches << " context switches\n";
-    if (blockBuilds != 0 || blockExecutions != 0) {
-        os << "superblocks: " << blockBuilds << " built, "
-           << blockExecutions << " executed, " << blockInstructions
-           << " instructions, " << blockInvalidations
-           << " invalidated\n";
-    }
-    if (traceLinksFormed != 0 || traceLinksTaken != 0) {
-        os << "trace links: " << traceLinksFormed << " formed, "
-           << traceLinksTaken << " taken, " << traceLinksSevered
-           << " severed, " << traceLinkMispredicts << " mispredicted\n";
-    }
-    if (threadedCompiles != 0) {
-        os << "threaded tier: " << threadedCompiles << " resolved, "
-           << threadedInstructions << " instructions, " << threadedBails
-           << " bails, " << threadedDiscards << " discarded\n";
-    }
-    if (cowForkedRam != 0) {
-        os << "cow fork: " << cowPagesTouched << " pages touched, "
-           << cowPrivateBytes << " private bytes, " << cowSharedBytes
-           << " shared bytes"
-           << (cowKernelBacked != 0 ? " (kernel CoW)" : " (eager copy)")
-           << ", " << cowDiskBlocksTouched << " disk blocks touched\n";
-    }
-    if (supMicroreboots != 0 || supQuarantines != 0 ||
-        supHealthTransitions != 0) {
-        os << "supervision: " << supHealthTransitions
-           << " health transitions, " << supMicroreboots
-           << " microreboots, " << supQuarantines << " quarantines, "
-           << supPagesRecopied << " pages recopied, "
-           << supTimeInDegraded << " slices degraded\n";
-    }
-    std::uint64_t total_faults = 0;
-    for (auto c : faultsInjected)
-        total_faults += c;
-    if (total_faults != 0 || machineChecksDelivered != 0 ||
-        diskRetries != 0 || vmRestarts != 0) {
-        os << "faults: " << total_faults << " injected, "
-           << machineChecksDelivered << " machine checks, " << diskRetries
-           << " disk retries, " << vmRestarts << " vm restarts\n";
+    os << "counters (non-zero):\n";
+#define VVAX_STATS_PRINT(tag, type, name)                              \
+    printScalar(os, StatsTag::tag, #name, name);
+    VVAX_STATS_FIELDS(VVAX_STATS_PRINT)
+#undef VVAX_STATS_PRINT
+    for (int i = 0; i < kNumFaultClasses; ++i) {
+        const std::string name =
+            "faultsInjected[" + std::to_string(i) + "]";
+        printScalar(os, StatsTag::Arch, name.c_str(), faultsInjected[i]);
     }
     bool any_trap = false;
     for (auto c : vmTrapOpcodes)

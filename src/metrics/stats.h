@@ -1,14 +1,17 @@
 /**
  * @file
  * Machine-level statistics: cycle accounting by category and event
- * counters.  The VMM keeps its own higher-level counters in
- * vmm/vmm_stats.h; this struct counts what the hardware sees.
+ * counters.  The VMM keeps its own higher-level per-VM counters in
+ * VmStats (vmm/vm_state.h); this struct counts what the hardware
+ * sees, plus host-execution counters and fleet gauges, each field
+ * tagged with the contract it obeys (StatsTag).
  */
 
 #ifndef VVAX_METRICS_STATS_H
 #define VVAX_METRICS_STATS_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -42,104 +45,121 @@ std::string_view cycleCategoryName(CycleCategory cat);
  */
 constexpr int kNumFaultClasses = 9;
 
+/**
+ * The contract a Stats field obeys; every field carries exactly one.
+ *
+ *   Arch  - what the simulated hardware did.  Every host tier must
+ *           leave it bit-identical, so operator== (the fast-path /
+ *           reference-path lockstep check) compares exactly these.
+ *   Host  - how the host executed the workload: superblock cache,
+ *           trace links, threaded driver (docs/ARCHITECTURE.md
+ *           §5a-§5c).  The reference tier never builds blocks and
+ *           legitimately reports zeros, so operator== ignores them.
+ *   Gauge - the current state of a live fleet member, refreshed in
+ *           place by its publisher: CoW backing (§8, published by
+ *           PhysicalMemory::publishCowStats and the fleet) and its
+ *           slot's crash-only supervision history (§6d, published by
+ *           HypervisorFleet).  Summing a retired incarnation's value
+ *           would double-count against the live member, so
+ *           retireGauges() zeroes them; operator== ignores them.
+ *
+ * operator+= sums all three: an aggregate describes total work, not
+ * lockstep equality.
+ */
+enum class StatsTag : Byte { Arch, Host, Gauge };
+
+using CycleCounts = std::array<std::uint64_t, kNumCycleCategories>;
+using DispatchCounts = std::array<std::uint64_t, 128>;
+using OpcodeCounts = std::array<std::uint64_t, 256>;
+using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
+
+/**
+ * Every Stats field, declared once as X(tag, type, name).  The
+ * declaration, operator+=, operator==, retireGauges() and the scalar
+ * lines of print() are all generated from this list, so a new counter
+ * cannot go missing from any of them.
+ *
+ *   dispatches          - exception/interrupt dispatches indexed by
+ *                         SCB offset / 4
+ *   hardwareModifySets  - standard VAX M-bit writes
+ *   tlbFlush*           - tbia() / tbiaProcess() / tbis() invocations;
+ *   tlbContextSwitches    scoped context re-applies that let entries
+ *                         survive a world switch
+ *   vmTrapOpcodes       - VM-emulation traps by the opcode that caused
+ *                         the exit (FD-page opcodes fold to 0xFD): the
+ *                         per-exit-reason breakdown of the paper's
+ *                         Section 7 trap-frequency argument
+ *   faultsInjected ..   - fault injection and recovery, by class
+ *   vmRestarts            (fault/fault_plan.h); injection sites key on
+ *                         architectural ordinals, so these are Arch.
+ *                         vmRestarts counts VmSupervisor snapshot
+ *                         restores
+ *   block* .. threaded* - superblocks translated / entered / retired
+ *                         in / dropped; trace-link edges formed /
+ *                         crossed / cut / mispredicted; blocks bound to
+ *                         threaded handlers, instructions they retired,
+ *                         abnormal driver exits, bound blocks discarded
+ *   cow*                - 1 when RAM forked from an image, 1 when kernel
+ *                         CoW is active, VAX pages written since fork,
+ *                         host-page-rounded private bytes, bytes still
+ *                         shared, disk blocks written since fork
+ *   sup*                - health state changes, golden-image
+ *                         microreboots, members quarantined, CoW pages
+ *                         recopied by microreboots, member-slices spent
+ *                         Degraded
+ */
+#define VVAX_STATS_FIELDS(X)                                           \
+    X(Arch, std::uint64_t, instructions)                               \
+    X(Arch, CycleCounts, cycles)                                       \
+    X(Arch, DispatchCounts, dispatches)                                \
+    X(Arch, std::uint64_t, tlbHits)                                    \
+    X(Arch, std::uint64_t, tlbMisses)                                  \
+    X(Arch, std::uint64_t, hardwareModifySets)                         \
+    X(Arch, std::uint64_t, modifyFaults)                               \
+    X(Arch, std::uint64_t, translationFaults)                          \
+    X(Arch, std::uint64_t, accessViolations)                           \
+    X(Arch, std::uint64_t, vmEmulationTraps)                           \
+    X(Arch, std::uint64_t, interruptsTaken)                            \
+    X(Arch, std::uint64_t, waitInstructions)                           \
+    X(Arch, std::uint64_t, tlbFlushAll)                                \
+    X(Arch, std::uint64_t, tlbFlushProcess)                            \
+    X(Arch, std::uint64_t, tlbFlushSingle)                             \
+    X(Arch, std::uint64_t, tlbContextSwitches)                         \
+    X(Arch, OpcodeCounts, vmTrapOpcodes)                               \
+    X(Arch, FaultClassCounts, faultsInjected)                          \
+    X(Arch, std::uint64_t, machineChecksDelivered)                     \
+    X(Arch, std::uint64_t, diskRetries)                                \
+    X(Arch, std::uint64_t, vmRestarts)                                 \
+    X(Host, std::uint64_t, blockBuilds)                                \
+    X(Host, std::uint64_t, blockExecutions)                            \
+    X(Host, std::uint64_t, blockInstructions)                          \
+    X(Host, std::uint64_t, blockInvalidations)                         \
+    X(Host, std::uint64_t, traceLinksFormed)                           \
+    X(Host, std::uint64_t, traceLinksTaken)                            \
+    X(Host, std::uint64_t, traceLinksSevered)                          \
+    X(Host, std::uint64_t, traceLinkMispredicts)                       \
+    X(Host, std::uint64_t, threadedCompiles)                           \
+    X(Host, std::uint64_t, threadedInstructions)                       \
+    X(Host, std::uint64_t, threadedBails)                              \
+    X(Host, std::uint64_t, threadedDiscards)                           \
+    X(Gauge, std::uint64_t, cowForkedRam)                              \
+    X(Gauge, std::uint64_t, cowKernelBacked)                           \
+    X(Gauge, std::uint64_t, cowPagesTouched)                           \
+    X(Gauge, std::uint64_t, cowPrivateBytes)                           \
+    X(Gauge, std::uint64_t, cowSharedBytes)                            \
+    X(Gauge, std::uint64_t, cowDiskBlocksTouched)                      \
+    X(Gauge, std::uint64_t, supHealthTransitions)                      \
+    X(Gauge, std::uint64_t, supMicroreboots)                           \
+    X(Gauge, std::uint64_t, supQuarantines)                            \
+    X(Gauge, std::uint64_t, supPagesRecopied)                          \
+    X(Gauge, std::uint64_t, supTimeInDegraded)
+
 /** Counters maintained by the machine as it runs. */
 struct Stats
 {
-    std::uint64_t instructions = 0;
-    std::array<std::uint64_t, kNumCycleCategories> cycles{};
-
-    /** Exception/interrupt dispatches indexed by SCB offset / 4. */
-    std::array<std::uint64_t, 128> dispatches{};
-
-    std::uint64_t tlbHits = 0;
-    std::uint64_t tlbMisses = 0;
-    std::uint64_t hardwareModifySets = 0; //!< standard VAX M-bit writes
-    std::uint64_t modifyFaults = 0;
-    std::uint64_t translationFaults = 0;
-    std::uint64_t accessViolations = 0;
-    std::uint64_t vmEmulationTraps = 0;
-    std::uint64_t interruptsTaken = 0;
-    std::uint64_t waitInstructions = 0;
-
-    // Translation-buffer maintenance observability: how often whole
-    // halves / single pages were invalidated versus how often a
-    // context re-apply let the entries survive a world switch.
-    std::uint64_t tlbFlushAll = 0;        //!< tbia() invocations
-    std::uint64_t tlbFlushProcess = 0;    //!< tbiaProcess() invocations
-    std::uint64_t tlbFlushSingle = 0;     //!< tbis() invocations
-    std::uint64_t tlbContextSwitches = 0; //!< scoped context re-applies
-
-    /**
-     * VM-emulation traps by the opcode that caused the exit (FD-page
-     * opcodes fold to index 0xFD).  The per-exit-reason breakdown the
-     * paper's trap-frequency argument (Section 7) is about.
-     */
-    std::array<std::uint64_t, 256> vmTrapOpcodes{};
-
-    // Fault injection and recovery (src/fault/fault_plan.h defines
-    // the classes; fault_plan.h static_asserts the count matches).
-    // Architectural: injection sites key on architectural ordinals
-    // (disk-op counts, timer ticks), so the fast and reference paths
-    // must report identical values.
-    std::array<std::uint64_t, kNumFaultClasses> faultsInjected{};
-    std::uint64_t machineChecksDelivered = 0; //!< reflected into a VM
-    std::uint64_t diskRetries = 0; //!< disk op re-issued after a failure
-    std::uint64_t vmRestarts = 0;  //!< supervisor snapshot-restores
-
-    // Superblock translation cache observability
-    // (docs/ARCHITECTURE.md §5a).  Host-side counters: they describe
-    // how the host executed the workload, not what the simulated
-    // hardware did, so the reference interpreter (which never builds
-    // blocks) legitimately reports zeros.  operator== excludes them
-    // for exactly that reason.
-    std::uint64_t blockBuilds = 0;        //!< superblocks translated
-    std::uint64_t blockExecutions = 0;    //!< superblock entries run
-    std::uint64_t blockInstructions = 0;  //!< instructions retired in blocks
-    std::uint64_t blockInvalidations = 0; //!< stale blocks dropped
-
-    // Trace tier observability (docs/ARCHITECTURE.md §5b).  Host-side
-    // like the block counters above: excluded from operator==.
-    std::uint64_t traceLinksFormed = 0;  //!< block->block edges patched in
-    std::uint64_t traceLinksTaken = 0;   //!< crossings that bypassed dispatch
-    std::uint64_t traceLinksSevered = 0; //!< edges cut by invalidation
-    /** Exits whose direction differed from Block::lastDir (the link
-     *  probe order's prediction).  Host-side. */
-    std::uint64_t traceLinkMispredicts = 0;
-
-    // Block executor observability (docs/ARCHITECTURE.md §5c).
-    // Host-side like the block counters above: excluded from
-    // operator==.
-    std::uint64_t threadedCompiles = 0;     //!< blocks bound to handlers
-    std::uint64_t threadedInstructions = 0; //!< instructions retired threaded
-    std::uint64_t threadedBails = 0;        //!< abnormal driver exits
-    std::uint64_t threadedDiscards = 0;     //!< bound blocks invalidated
-
-    // Golden-image CoW forking gauges (docs/ARCHITECTURE.md §8),
-    // published by PhysicalMemory::publishCowStats / the fleet at
-    // merge barriers.  Host-side like the block counters above:
-    // they describe where the host kernel keeps the fork's pages,
-    // not anything the simulated hardware did, so operator==
-    // excludes them (two forks of the same image are architecturally
-    // identical even when one has copied-up more pages).
-    std::uint64_t cowForkedRam = 0;    //!< 1 when RAM forked from an image
-    std::uint64_t cowKernelBacked = 0; //!< 1 when kernel CoW is active
-    std::uint64_t cowPagesTouched = 0; //!< VAX pages written since fork
-    std::uint64_t cowPrivateBytes = 0; //!< host-page-rounded private bytes
-    std::uint64_t cowSharedBytes = 0;  //!< bytes still shared with the image
-    std::uint64_t cowDiskBlocksTouched = 0; //!< disk blocks written since fork
-
-    // Crash-only fleet supervision (docs/ARCHITECTURE.md §6d),
-    // published by HypervisorFleet when it aggregates member stats.
-    // Host-side like the cow gauges: they describe the *recovery
-    // machinery's* work (reboots, state-machine churn), which is
-    // keyed on per-member architectural state and therefore
-    // worker-count-invariant, but is no business of the lockstep
-    // digest — operator== excludes them.
-    std::uint64_t supHealthTransitions = 0; //!< health state changes
-    std::uint64_t supMicroreboots = 0;      //!< golden-image re-forks
-    std::uint64_t supQuarantines = 0;       //!< members taken out of rotation
-    std::uint64_t supPagesRecopied = 0;     //!< CoW pages discarded by reboots
-    std::uint64_t supTimeInDegraded = 0;    //!< member-slices spent Degraded
+#define VVAX_STATS_DECLARE(tag, type, name) type name{};
+    VVAX_STATS_FIELDS(VVAX_STATS_DECLARE)
+#undef VVAX_STATS_DECLARE
 
     void
     addCycles(CycleCategory cat, Cycles n)
@@ -155,27 +175,34 @@ struct Stats
     /** Reset every counter to zero. */
     void clear();
 
+    /** Zero the Gauge fields: what a fleet member's machine leaves to
+     *  the aggregate when the member is microrebooted away. */
+    void retireGauges();
+
     /**
      * Accumulate another machine's counters (HypervisorFleet merges
-     * per-member machines at run barriers).  Sums everything,
-     * host-side counters included: an aggregate describes total work,
-     * not lockstep equality.
+     * per-member machines at run barriers).  Sums every field.
      */
     Stats &operator+=(const Stats &other);
 
-    /** Pretty-print a summary table. */
+    /** Pretty-print a summary table plus every non-zero counter. */
     void print(std::ostream &os) const;
 
-    /**
-     * Architectural equality, used by the fast-path/reference-path
-     * lockstep tests: the host fast path must leave every counter the
-     * simulated hardware maintains bit-identical.  The host-side
-     * block-cache counters above are deliberately excluded - they
-     * measure the host execution strategy, which is the one thing the
-     * two paths are allowed to differ in.
-     */
+    /** Architectural equality: compares exactly the Arch fields. */
     bool operator==(const Stats &other) const;
 };
+
+// A field declared outside the X-macro would compile but silently
+// skip the merge, equality and print; the size check makes that
+// mistake a build error instead.
+namespace detail {
+#define VVAX_STATS_SIZE(tag, type, name) +sizeof(type)
+constexpr std::size_t kStatsFieldBytes =
+    0 VVAX_STATS_FIELDS(VVAX_STATS_SIZE);
+#undef VVAX_STATS_SIZE
+} // namespace detail
+static_assert(sizeof(Stats) == detail::kStatsFieldBytes,
+              "every Stats field must come from VVAX_STATS_FIELDS");
 
 } // namespace vvax
 

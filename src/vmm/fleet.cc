@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "vmm/vm_monitor.h"
+
 namespace vvax {
 
 const char *
@@ -60,10 +62,6 @@ HypervisorFleet::addVm(const VmConfig &config)
     member->microrebootsLeft = config_.fleetSupervision.restartBudget;
     member->nextBackoff = std::max(1, config_.fleetSupervision.backoffSlices);
     member->hv->createVm(vm_config);
-    if (config_.supervise) {
-        member->supervisor = std::make_unique<VmSupervisor>(
-            *member->hv, config_.supervisor);
-    }
     members_.push_back(std::move(member));
     return index;
 }
@@ -76,14 +74,12 @@ HypervisorFleet::addForkedMember(const GoldenImage &image)
     auto member = std::make_unique<Member>();
     member->index = index;
     member->image = &image;
-    member->forkRestartsLeft = config_.forkRestartBudget;
     member->microrebootsLeft = config_.fleetSupervision.restartBudget;
     member->nextBackoff = std::max(1, config_.fleetSupervision.backoffSlices);
     // The fork's fault identity is its lineage - the image's base
     // lineage plus its sibling ordinal among this fleet's forks of
     // that image - so the identity survives microreboots and does not
-    // depend on what else joined the fleet first.  No VmSupervisor:
-    // the golden image is the baseline, crash recovery re-forks.
+    // depend on what else joined the fleet first.
     int sibling = 0;
     bool seen = false;
     for (auto &entry : imageForks_) {
@@ -141,10 +137,16 @@ HypervisorFleet::startVm(int i, VirtAddr start_pc)
 {
     Member &m = *members_[i];
     m.hv->startVm(vm(i), start_pc);
-    if (m.supervisor) {
-        // The baseline snapshot is taken now, when the VM is in a
-        // state worth restoring to.
-        m.supervisor->watch(vm(i));
+    if (config_.fleetSupervision.enabled && m.image == nullptr) {
+        // The member's microreboot image is the VM as it starts.  The
+        // plan is detached so the seal draws no HostAlloc decision:
+        // the member's injection schedule is the same as unsealed.
+        FaultPlan *plan = m.machine->faultPlan();
+        m.machine->setFaultPlan(nullptr);
+        m.ownImage = std::make_unique<GoldenImage>(
+            GoldenImage::seal(*m.hv, vm(i)));
+        m.machine->setFaultPlan(plan);
+        m.image = m.ownImage.get();
     }
 }
 
@@ -197,80 +199,17 @@ HypervisorFleet::runSlice(Member &m)
     m.hv->run(slice);
     const std::uint64_t used = m.machine->stats().instructions - before;
     m.budgetLeft -= std::min(used, m.budgetLeft);
-    if (m.supervisor) {
-        // Supervisor work (snapshot refresh, fault-halt restart)
-        // happens at the slice boundary on the thread that owns the
-        // member this round - the only thread touching its state.
-        m.supervisor->poll();
-    }
     if (config_.fleetSupervision.enabled && !m.killed) {
         // Crash-only supervision path (§6d): health classification
         // and microreboot recovery, on the worker that owns the
         // member this round, keyed only on the member's own state.
-        superviseSlice(m, used);
+        checkHealth(m, used);
         if (m.budgetLeft == 0)
             m.done = true;
         return;
     }
-    if (m.budgetLeft == 0 || !memberLive(m)) {
-        // Forked members recover by re-forking from the golden image
-        // (same restartable-reason policy as the supervisor).  The
-        // decision runs on the worker that owns the member this
-        // round, keyed only on the member's own state, so it is
-        // identical for every worker count.
-        if (m.budgetLeft > 0 && m.image != nullptr && !m.killed &&
-            m.forkRestartsLeft > 0 &&
-            VmSupervisor::restartable(m.hv->vm(0).haltReason)) {
-            refork(m);
-            return;
-        }
+    if (m.budgetLeft == 0 || !memberLive(m))
         m.done = true;
-    }
-}
-
-void
-HypervisorFleet::clearRetiredGauges(Stats &stats)
-{
-    // Gauge-style fields describe a live member's current backing or
-    // its slot's lifetime supervision history; summing a retired
-    // machine's values would double-count against the live fleet
-    // view, so they retire as zero.
-    stats.cowForkedRam = 0;
-    stats.cowKernelBacked = 0;
-    stats.cowPagesTouched = 0;
-    stats.cowPrivateBytes = 0;
-    stats.cowSharedBytes = 0;
-    stats.cowDiskBlocksTouched = 0;
-    stats.supHealthTransitions = 0;
-    stats.supMicroreboots = 0;
-    stats.supQuarantines = 0;
-    stats.supPagesRecopied = 0;
-    stats.supTimeInDegraded = 0;
-}
-
-void
-HypervisorFleet::refork(Member &m)
-{
-    // The dying incarnation's counters must survive into the fleet
-    // aggregates; retire them before the machine goes away.
-    {
-        Stats dying = m.machine->stats();
-        clearRetiredGauges(dying);
-        std::lock_guard<std::mutex> lock(mergeMutex_);
-        retiredStats_ += dying;
-        retiredVmStats_ += m.hv->totalStats();
-        forkRestarts_++;
-    }
-    m.forkRestartsLeft--;
-    GoldenFork fork = m.image->fork(m.faultVmId);
-    m.machine = std::move(fork.machine);
-    m.hv = std::move(fork.hv);
-    // The member's armed plan survives the re-fork (its firing
-    // budgets carry over - the plan describes the member's world, not
-    // one incarnation of it).  This also *clears* any environment
-    // plan the fresh machine auto-installed: the first incarnation
-    // owned those budgets, a re-fork must not re-arm them from zero.
-    m.machine->setFaultPlan(m.plan.get());
 }
 
 void
@@ -283,7 +222,7 @@ HypervisorFleet::transition(Member &m, MemberHealth to)
 }
 
 void
-HypervisorFleet::superviseSlice(Member &m, std::uint64_t retired)
+HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
 {
     const FleetSupervisionConfig &sup = config_.fleetSupervision;
     // Per-slice deltas of the member's own architectural counters are
@@ -350,7 +289,7 @@ HypervisorFleet::superviseSlice(Member &m, std::uint64_t retired)
     // Halted.  A clean exit (HaltInstruction) or a non-restartable
     // reason ends the member; a restartable crash arms a microreboot
     // - or quarantines the slot once its error budget is spent (or it
-    // has no golden image to reboot from).
+    // was started behind the fleet's back and has no image).
     if (!VmSupervisor::restartable(m.hv->vm(0).haltReason)) {
         m.done = true;
         return;
@@ -358,8 +297,6 @@ HypervisorFleet::superviseSlice(Member &m, std::uint64_t retired)
     if (m.image == nullptr || m.microrebootsLeft <= 0) {
         transition(m, MemberHealth::Quarantined);
         m.done = true;
-        std::lock_guard<std::mutex> lock(mergeMutex_);
-        quarantines_++;
         return;
     }
     transition(m, MemberHealth::Restarting);
@@ -377,11 +314,10 @@ HypervisorFleet::microreboot(Member &m)
     // retire into the fleet aggregate first.
     {
         Stats dying = m.machine->stats();
-        clearRetiredGauges(dying);
+        dying.retireGauges();
         std::lock_guard<std::mutex> lock(mergeMutex_);
         retiredStats_ += dying;
         retiredVmStats_ += m.hv->totalStats();
-        microreboots_++;
     }
     m.microrebootsLeft--;
     m.incarnation++;
@@ -407,9 +343,9 @@ HypervisorFleet::microreboot(Member &m)
     m.machine = std::move(fork.machine);
     m.hv = std::move(fork.hv);
     // Re-arming also clears any environment plan the fresh machine
-    // auto-installed.  Unlike legacy refork(), consumed firing
-    // budgets do NOT carry over: the new incarnation replays the same
-    // injection schedule from ordinal zero.
+    // auto-installed.  Consumed firing budgets do not carry over: the
+    // new incarnation replays the same injection schedule from
+    // ordinal zero.
     m.machine->setFaultPlan(m.plan.get());
     if (host_fault)
         m.machine->stats().faultsInjected[static_cast<int>(
@@ -417,13 +353,7 @@ HypervisorFleet::microreboot(Member &m)
 
     // What the microreboot physically copied: the fresh fork's CoW
     // floor (the VMM metadata pages reconstruction rewrote).
-    const std::uint64_t floor =
-        m.machine->memory().cowStats().pagesTouched;
-    m.pagesRecopied += floor;
-    {
-        std::lock_guard<std::mutex> lock(mergeMutex_);
-        pagesRecopied_ += floor;
-    }
+    m.pagesRecopied += m.machine->memory().cowStats().pagesTouched;
 
     // Slice baselines and streak counters restart with the
     // incarnation; the backoff schedule deliberately does not - a
@@ -444,8 +374,8 @@ HypervisorFleet::publishMemberGauges(Member &m) const
     stats.cowDiskBlocksTouched = m.hv->vm(0).disk.blocksTouched();
     // Supervision history lives on the member slot so it survives
     // machine replacement; publishing it into the live machine's
-    // Stats lets plain Stats aggregation carry it (clearRetiredGauges
-    // keeps retiring incarnations from double-counting it).
+    // Stats lets plain Stats aggregation carry it (retireGauges keeps
+    // retiring incarnations from double-counting it).
     stats.supHealthTransitions = m.healthTransitions;
     stats.supMicroreboots = m.microreboots;
     stats.supQuarantines = m.health == MemberHealth::Quarantined ? 1 : 0;
@@ -579,24 +509,6 @@ HypervisorFleet::totalVmStats() const
     return total;
 }
 
-std::uint64_t
-HypervisorFleet::restarts() const
-{
-    std::uint64_t total = 0;
-    for (const auto &m : members_) {
-        if (m->supervisor)
-            total += m->supervisor->restarts();
-    }
-    return total;
-}
-
-std::uint64_t
-HypervisorFleet::forkRestarts() const
-{
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    return forkRestarts_;
-}
-
 Stats
 HypervisorFleet::barrierStats() const
 {
@@ -613,22 +525,19 @@ HypervisorFleet::health(int i) const
 std::uint64_t
 HypervisorFleet::microreboots() const
 {
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    return microreboots_;
+    return barrierStats().supMicroreboots;
 }
 
 std::uint64_t
 HypervisorFleet::quarantines() const
 {
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    return quarantines_;
+    return barrierStats().supQuarantines;
 }
 
 std::uint64_t
 HypervisorFleet::pagesRecopied() const
 {
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    return pagesRecopied_;
+    return barrierStats().supPagesRecopied;
 }
 
 } // namespace vvax

@@ -24,28 +24,30 @@
  *  - During run(), a member belongs to exactly one worker per round;
  *    nothing else may touch its machine, hypervisor, or VM.
  *  - Between rounds (the barrier) the coordinating thread owns all
- *    members: stats merging and supervisor polls happen there or on
+ *    members: stats merging and health checks happen there or on
  *    the worker that just ran the slice, never concurrently.
  *  - Cross-thread input goes through Hypervisor's mailbox
  *    (postConsoleInput / postInterruptFromHost), which any thread may
  *    call at any time; delivery happens on the owning worker at timer
  *    ticks.
  *
- * Crash-only supervision (FleetConfig::fleetSupervision, §6d): each
- * member carries a health state machine - Healthy -> Degraded (fault
- * pressure) -> Restarting (crash, waiting out backoff) -> back to
- * Healthy via golden-image microreboot, or Quarantined once the
- * restart error budget is gone.  Every decision is made at the slice
- * boundary on the worker that owns the member that round, keyed only
- * on the member's own architectural counters and the global round
- * number, so health histories and healthy-member digests are
- * bit-identical for every worker count.  Recovery is a re-fork of the
- * member's golden image (O(pages-touched), golden_image.h) with a
- * fresh copy of its armed fault plan - the member replays the same
- * injection schedule in its next incarnation - never a PR-style
- * snapshot restore of accumulated state.  A member in restart backoff
- * stays halted but not done, so the round barrier never stalls on it;
- * quarantine marks it done and the fleet moves on.
+ * Crash-only supervision (FleetConfig::fleetSupervision, §6d) is the
+ * fleet's one recovery path.  Each member carries a health state
+ * machine - Healthy -> Degraded (fault pressure) -> Restarting (crash,
+ * waiting out backoff) -> back to Healthy via golden-image
+ * microreboot, or Quarantined once the restart error budget is gone.
+ * Every decision is made at the slice boundary on the worker that owns
+ * the member that round, keyed only on the member's own architectural
+ * counters and the global round number, so health histories and
+ * healthy-member digests are bit-identical for every worker count.
+ * Recovery is a re-fork of the member's golden image (O(pages-touched),
+ * golden_image.h) with a fresh copy of its armed fault plan - the
+ * member replays the same injection schedule in its next incarnation -
+ * never a snapshot restore of accumulated state.  Forked members
+ * re-fork the image they came from; an addVm member seals its own
+ * image at startVm, so every member can be microrebooted.  A member in
+ * restart backoff stays halted but not done, so the round barrier
+ * never stalls on it; quarantine marks it done and the fleet moves on.
  */
 
 #ifndef VVAX_VMM_FLEET_H
@@ -63,7 +65,6 @@
 #include "fault/fault_plan.h"
 #include "vmm/golden_image.h"
 #include "vmm/hypervisor.h"
-#include "vmm/vm_monitor.h"
 
 namespace vvax {
 
@@ -120,7 +121,7 @@ struct FleetConfig
     int workers = 1;
     /**
      * Instructions per member per round.  Rounds are the barrier
-     * points: stats merge and supervisor polls happen between them.
+     * points: stats merge between them.
      * The slice is in instructions, not wall time, so scheduling is
      * identical for every worker count.
      */
@@ -130,35 +131,15 @@ struct FleetConfig
     /** Configuration applied to every member's Hypervisor. */
     HypervisorConfig hypervisor;
     /**
-     * Supervise members with VmSupervisor: snapshot healthy VMs and
-     * restart fault-halted ones at round barriers (vm_monitor.h).
-     * Forked members ignore this - their golden image *is* the
-     * baseline, so crash recovery re-forks instead (forkRestartBudget).
-     */
-    bool supervise = false;
-    VmSupervisorConfig supervisor;
-    /**
-     * Re-fork budget per forked member: a member added with
-     * addForkedMember whose VM halts with a restartable reason
-     * (VmSupervisor::restartable) is replaced by a fresh fork of its
-     * golden image at the slice boundary, at most this many times.
-     * Re-forking is O(pages-touched) where a snapshot restore is
-     * O(memory); the member keeps its index, fault identity and armed
-     * fault plan across the re-fork.
-     */
-    int forkRestartBudget = 0;
-    /**
      * Maximum members this fleet may ever host (its spawn budget);
      * 0 means unbounded.  addVm/addForkedMember throw once reached -
      * the density backstop for golden-image fork storms.
      */
     int spawnBudget = 0;
     /**
-     * Crash-only supervision of forked members: health state machine
-     * plus golden-image microreboot with backoff and an error budget
-     * (see the file comment).  Supersedes forkRestartBudget for fleets
-     * that enable it; addVm members without a golden image quarantine
-     * on crash instead of microrebooting.
+     * Crash-only supervision: health state machine plus golden-image
+     * microreboot with backoff and an error budget (see the file
+     * comment).  Disabled, a crashed member simply stays halted.
      */
     FleetSupervisionConfig fleetSupervision;
 };
@@ -176,7 +157,9 @@ class HypervisorFleet
      * Add a member hosting one VM.  The VM's fault identity defaults
      * to the member index so plan `vm=` selectors address fleet
      * members exactly as they address VMs of a single hypervisor.
-     * Returns the member index.
+     * Under fleetSupervision the member seals a private golden image
+     * at startVm, which its microreboots re-fork.  Returns the member
+     * index.
      */
     int addVm(const VmConfig &config);
 
@@ -236,12 +219,9 @@ class HypervisorFleet
     Stats totalMachineStats() const;
     /** Aggregate per-VM counters over all members (VmStats::operator+=). */
     VmStats totalVmStats() const;
-    /** Supervisor restarts performed across the fleet. */
-    std::uint64_t restarts() const;
-    /** Golden-image re-forks performed across the fleet. */
-    std::uint64_t forkRestarts() const;
 
     // ----- Crash-only supervision observability (§6d) -----------------------
+    // The three counters read the sup* gauges of barrierStats().
     /** Member @p i's current health (call between runs). */
     MemberHealth health(int i) const;
     /** Golden-image microreboots performed by the supervision layer. */
@@ -271,9 +251,10 @@ class HypervisorFleet
          *  from this, so a fresh incarnation replays the same
          *  schedule instead of inheriting consumed firing budgets. */
         std::unique_ptr<FaultPlan> planPristine;
-        std::unique_ptr<VmSupervisor> supervisor;
-        const GoldenImage *image = nullptr; //!< non-null: forked member
-        int forkRestartsLeft = 0;
+        /** The image microreboots re-fork: the fork source, or
+         *  ownImage.  Null: the member cannot be microrebooted. */
+        const GoldenImage *image = nullptr;
+        std::unique_ptr<GoldenImage> ownImage; //!< addVm: sealed at startVm
         bool killed = false; //!< killMember: never restarted
         std::uint64_t budgetLeft = 0;
         bool done = false;
@@ -302,22 +283,15 @@ class HypervisorFleet
 
     void checkSpawnBudget() const;
     void runSlice(Member &m);
-    /** Replace a crashed forked member with a fresh fork; retires the
-     *  dead machine's counters into the aggregate first. */
-    void refork(Member &m);
     // ----- Crash-only supervision (fleet.cc §6d) ----------------------------
     /** Health state machine + recovery, run at the slice boundary by
      *  the worker owning @p m this round. */
-    void superviseSlice(Member &m, std::uint64_t retired);
+    void checkHealth(Member &m, std::uint64_t retired);
     void transition(Member &m, MemberHealth to);
     /** Crash-only recovery: retire the incarnation, re-fork the
      *  golden image under the same fault identity, re-arm a pristine
      *  plan copy. */
     void microreboot(Member &m);
-    /** Zero the gauge-style fields (cow*, sup*) of a dying
-     *  incarnation's Stats so retiring them cannot double-count
-     *  against the live fleet view. */
-    static void clearRetiredGauges(Stats &stats);
     /** Refresh the cow* and sup* gauge fields in the member's machine
      *  Stats. */
     void publishMemberGauges(Member &m) const;
@@ -331,14 +305,10 @@ class HypervisorFleet
 
     mutable std::mutex mergeMutex_;
     Stats barrierStats_;
-    /** Counters of machines retired by refork()/microreboot(), so
-     *  aggregates cover every incarnation.  Guarded by mergeMutex_. */
+    /** Counters of machines retired by microreboot(), so aggregates
+     *  cover every incarnation.  Guarded by mergeMutex_. */
     Stats retiredStats_;
     VmStats retiredVmStats_;
-    std::uint64_t forkRestarts_ = 0;
-    std::uint64_t microreboots_ = 0;
-    std::uint64_t quarantines_ = 0;
-    std::uint64_t pagesRecopied_ = 0;
 };
 
 } // namespace vvax

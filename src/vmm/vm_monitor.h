@@ -55,7 +55,7 @@ struct VmSupervisorConfig
 };
 
 /**
- * Crash containment with supervised restart (DESIGN.md Section 7e).
+ * Crash containment with in-place restart (DESIGN.md Section 7e).
  *
  * The paper's security-kernel argument is that a VM can only destroy
  * itself: the VMM converts every guest-induced disaster into a halt

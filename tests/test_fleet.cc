@@ -95,25 +95,72 @@ TEST(StatsMerge, VmStatsOperatorSumsEveryField)
 #undef VVAX_TEST_CHECK
 }
 
+/** A Stats field as a flat run of counters: a scalar is one element,
+ *  an array is all of its elements. */
+std::span<std::uint64_t>
+elements(std::uint64_t &field)
+{
+    return {&field, 1};
+}
+
+template <std::size_t N>
+std::span<std::uint64_t>
+elements(std::array<std::uint64_t, N> &field)
+{
+    return field;
+}
+
 TEST(StatsMerge, MachineStatsOperatorSumsCounters)
 {
+    // Every field and every array element, driven by the X-macro, so
+    // a counter added later is covered without touching this test.
     Stats a, b;
-    a.instructions = 10;
-    b.instructions = 32;
-    a.tlbMisses = 3;
-    b.tlbMisses = 4;
-    a.diskRetries = 1;
-    b.diskRetries = 2;
-    a.cycles[static_cast<int>(CycleCategory::VmmIo)] = 7;
-    b.cycles[static_cast<int>(CycleCategory::VmmIo)] = 11;
-    a.faultsInjected[0] = 5;
-    b.faultsInjected[0] = 6;
-    a += b;
-    EXPECT_EQ(a.instructions, 42u);
-    EXPECT_EQ(a.tlbMisses, 7u);
-    EXPECT_EQ(a.diskRetries, 3u);
-    EXPECT_EQ(a.cycles[static_cast<int>(CycleCategory::VmmIo)], 18u);
-    EXPECT_EQ(a.faultsInjected[0], 11u);
+    std::uint64_t v = 1;
+#define VVAX_TEST_FILL(tag, type, name)                                      \
+    for (std::uint64_t & e : elements(a.name))                               \
+        e = v++;                                                             \
+    for (std::uint64_t & e : elements(b.name))                               \
+        e = 100000 + v++;
+    VVAX_STATS_FIELDS(VVAX_TEST_FILL)
+#undef VVAX_TEST_FILL
+
+    // operator+= sums each element.
+    Stats sum = a;
+    sum += b;
+#define VVAX_TEST_SUM(tag, type, name)                                       \
+    for (std::size_t i = 0; i < elements(a.name).size(); ++i)                \
+        EXPECT_EQ(elements(sum.name)[i],                                     \
+                  elements(a.name)[i] + elements(b.name)[i])                 \
+            << #name << "[" << i << "]";
+    VVAX_STATS_FIELDS(VVAX_TEST_SUM)
+#undef VVAX_TEST_SUM
+
+    // operator== sees a change in exactly the Arch fields - the 21 the
+    // lockstep contract has always compared.
+    int arch_fields = 0;
+#define VVAX_TEST_EQ(tag, type, name)                                        \
+    arch_fields += StatsTag::tag == StatsTag::Arch;                          \
+    for (std::size_t i = 0; i < elements(a.name).size(); ++i) {              \
+        Stats changed = a;                                                   \
+        elements(changed.name)[i]++;                                         \
+        EXPECT_EQ(changed == a, StatsTag::tag != StatsTag::Arch)             \
+            << #name << "[" << i << "]";                                     \
+    }
+    VVAX_STATS_FIELDS(VVAX_TEST_EQ)
+#undef VVAX_TEST_EQ
+    EXPECT_EQ(arch_fields, 21);
+
+    // Retirement zeroes exactly the Gauge fields.
+    Stats retired = a;
+    retired.retireGauges();
+#define VVAX_TEST_RETIRE(tag, type, name)                                    \
+    for (std::size_t i = 0; i < elements(a.name).size(); ++i)                \
+        EXPECT_EQ(elements(retired.name)[i],                                 \
+                  StatsTag::tag == StatsTag::Gauge ? 0                       \
+                                                   : elements(a.name)[i])    \
+            << #name << "[" << i << "]";
+    VVAX_STATS_FIELDS(VVAX_TEST_RETIRE)
+#undef VVAX_TEST_RETIRE
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +410,6 @@ struct FleetOutcome
 {
     std::vector<MemberOutcome> members;
     VmStats totalVm;
-    std::uint64_t restarts = 0;
 
     bool operator==(const FleetOutcome &other) const = default;
 };
@@ -460,7 +506,6 @@ runMixedFleet(int workers,
         out.members.push_back(std::move(mo));
     }
     out.totalVm = fleet.totalVmStats();
-    out.restarts = fleet.restarts();
     return out;
 }
 
@@ -693,13 +738,15 @@ TEST(FleetConsole, ConcurrentPostsFromAnotherThreadAreSafe)
 
 TEST(FleetSupervisor, RestartsACrashingMemberAndLeavesSiblingsAlone)
 {
+    // Booted (addVm) members recover on the same path as forks: each
+    // seals its own golden image at startVm and microreboots from it.
     FleetConfig fc;
     fc.workers = 2;
     fc.sliceInstructions = 5000;
     fc.machine.ramBytes = 16 * 1024 * 1024;
     fc.machine.level = MicrocodeLevel::Modified;
-    fc.supervise = true;
-    fc.supervisor.restartBudget = 3;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = 3;
     HypervisorFleet fleet(fc);
 
     // Member 0 crashes deterministically (reads past MEMSIZE after a
@@ -727,12 +774,16 @@ TEST(FleetSupervisor, RestartsACrashingMemberAndLeavesSiblingsAlone)
 
     fleet.run(2000000);
 
-    EXPECT_EQ(fleet.restarts(), 3u) << "the budget bounds the restarts";
+    EXPECT_EQ(fleet.microreboots(), 3u) << "the budget bounds the restarts";
+    EXPECT_EQ(fleet.health(bad), MemberHealth::Quarantined);
+    EXPECT_EQ(fleet.quarantines(), 1u);
     EXPECT_EQ(fleet.vm(bad).haltReason, VmHaltReason::NonExistentMemory);
     EXPECT_EQ(fleet.machine(bad).memory().read32(
                   fleet.vm(bad).vmPhysToReal(0x3000)),
               1u)
-        << "each restart rolled the counter back to the snapshot";
+        << "each microreboot rolled the counter back to the image "
+           "sealed at startVm";
+    EXPECT_EQ(fleet.health(good), MemberHealth::Healthy);
     EXPECT_EQ(fleet.vm(good).haltReason, VmHaltReason::HaltInstruction);
     EXPECT_EQ(fleet.machine(good).memory().read32(
                   fleet.vm(good).vmPhysToReal(0x3000)),
@@ -817,7 +868,6 @@ runForkedFleet(int workers, const GoldenImage &image,
         out.members.push_back(std::move(mo));
     }
     out.totalVm = fleet.totalVmStats();
-    out.restarts = fleet.restarts();
     return out;
 }
 
@@ -1034,7 +1084,6 @@ runSupervisedForkedFleet(int workers, const GoldenImage &image,
         out.health.push_back(fleet.health(i));
     }
     out.base.totalVm = fleet.totalVmStats();
-    out.base.restarts = fleet.restarts();
     out.microreboots = fleet.microreboots();
     out.quarantines = fleet.quarantines();
     out.pagesRecopied = fleet.pagesRecopied();
@@ -1076,6 +1125,11 @@ TEST(FleetSupervision, CrashingForksAreMicrorebootedThenQuarantined)
         EXPECT_EQ(fleet.quarantines(), 2u);
         EXPECT_GT(fleet.pagesRecopied(), 0u)
             << "each microreboot recopies the fresh fork's CoW floor";
+        // Recovery cost: a microreboot recopies less than half of what
+        // a full snapshot restore of the machine's RAM would copy.
+        EXPECT_LT(static_cast<double>(fleet.pagesRecopied()) /
+                      static_cast<double>(fleet.microreboots()),
+                  0.5 * static_cast<double>(gold.ramBytes() / kPageSize));
         SupervisedOutcome out;
         for (int i = first; i < first + 2; ++i) {
             EXPECT_EQ(fleet.health(i), MemberHealth::Quarantined)
@@ -1355,6 +1409,81 @@ TEST(FleetSupervision, MailboxDelayFaultsDelayButNeverDrop)
             << "member " << i
             << ": the delay is virtual-tick-keyed, so worker counts "
                "agree bit for bit";
+}
+
+TEST(FleetSweep, SupervisedFleetSurvivesTheEnvironmentPlan)
+{
+    // The fleet's one recovery path under VVAX_FAULT_PLAN (run_all.sh
+    // sweeps seeds): every member's machine installs the environment
+    // plan - the MiniVMS forks and the booted member alike - and a
+    // crash microreboots the member onto a plan-free incarnation of
+    // its image.  The booted member crash-loops, so every seed drives
+    // its startVm seal, its microreboots and its quarantine.  With the
+    // variable unset this is a plain supervised lockstep check.
+    const GoldenImage gold = sealedMiniVmsImage(400);
+    CodeBuilder crash(0x200);
+    crash.incl(Op::abs(0x3000));
+    crash.movl(Op::abs(0x00F00000), Op::reg(R0));
+    crash.halt();
+    const std::vector<Byte> crash_img = crash.finish();
+    const PhysAddr result_base = buildMiniVms(diskHeavyVms()).resultBase;
+
+    auto runFleet = [&](int workers) {
+        FleetConfig fc;
+        fc.workers = workers;
+        fc.sliceInstructions = 50000;
+        fc.machine = gold.machineConfig();
+        fc.hypervisor.tickCycles = 2000;
+        fc.hypervisor.ticksPerQuantum = 2;
+        fc.hypervisor.asyncDiskIo = true;
+        fc.fleetSupervision.enabled = true;
+        HypervisorFleet fleet(fc);
+        fleet.addForkedMember(gold, 3);
+        // The booted member seals its own image at startVm.
+        VmConfig vc;
+        vc.memBytes = 256 * 1024;
+        const int booted = fleet.addVm(vc);
+        fleet.loadVmImage(booted, 0x200, crash_img);
+        fleet.startVm(booted, 0x200);
+
+        EXPECT_NO_THROW(fleet.run(400000000));
+        EXPECT_EQ(fleet.health(booted), MemberHealth::Quarantined);
+        EXPECT_GE(fleet.microreboots(), 3u)
+            << "the booted member spends its whole restart budget";
+
+        SupervisedOutcome out;
+        for (int i = 0; i < fleet.size(); ++i) {
+            RealMachine &m = fleet.machine(i);
+            VirtualMachine &vm = fleet.vm(i);
+            EXPECT_TRUE(vm.haltReason == VmHaltReason::HaltInstruction ||
+                        fleet.health(i) == MemberHealth::Quarantined)
+                << "member " << i << ": halt reason "
+                << static_cast<int>(vm.haltReason) << ", health "
+                << memberHealthName(fleet.health(i));
+            MemberOutcome mo;
+            mo.vmMemory = vmMemoryDigest(m, vm);
+            mo.vmDisk = fnv1a(vm.disk);
+            mo.console = vm.console.output();
+            if (i != booted)
+                mo.magic =
+                    m.memory().read32(vm.vmPhysToReal(result_base));
+            mo.vmStats = vm.stats;
+            mo.stats = m.stats();
+            out.base.members.push_back(std::move(mo));
+            out.health.push_back(fleet.health(i));
+        }
+        out.base.totalVm = fleet.totalVmStats();
+        out.microreboots = fleet.microreboots();
+        out.quarantines = fleet.quarantines();
+        out.pagesRecopied = fleet.pagesRecopied();
+        return out;
+    };
+
+    const SupervisedOutcome one = runFleet(1);
+    const SupervisedOutcome four = runFleet(4);
+    EXPECT_TRUE(one == four)
+        << "recovery is keyed on rounds and per-member state, not "
+           "threads";
 }
 
 // ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@
  * run bit-identically; the eager-copy fallback is architecturally
  * indistinguishable from kernel CoW; CoW accounting reports the
  * touched fraction, not the image size; self-modifying code in one
- * fork never perturbs its siblings; and the fleet's re-fork and spawn
- * budgets bound golden-image crash recovery and fleet density.
+ * fork never perturbs its siblings; and the fleet's microreboot and
+ * spawn budgets bound golden-image crash recovery and fleet density.
  */
 
 #include <gtest/gtest.h>
@@ -435,7 +435,7 @@ TEST(GoldenImage, ForkBeforeSealThrows)
 }
 
 // ---------------------------------------------------------------------------
-// Fleet integration: re-fork and spawn budgets
+// Fleet integration: microreboot and spawn budgets
 // ---------------------------------------------------------------------------
 
 /** Seal a crash-looping guest (reads past MEMSIZE after bumping a
@@ -469,15 +469,17 @@ TEST(GoldenFleet, ReforkBudgetBoundsCrashRecovery)
     fc.workers = 2;
     fc.sliceInstructions = 5000;
     fc.machine = gold.machineConfig();
-    fc.forkRestartBudget = 3;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = 3;
     HypervisorFleet fleet(fc);
     const int bad = fleet.addForkedMember(gold);
     fleet.setFaultPlan(bad, nullptr);
 
     fleet.run(2000000);
 
-    EXPECT_EQ(fleet.forkRestarts(), 3u)
+    EXPECT_EQ(fleet.microreboots(), 3u)
         << "the budget bounds golden-image re-forks";
+    EXPECT_EQ(fleet.health(bad), MemberHealth::Quarantined);
     EXPECT_EQ(fleet.vm(bad).haltReason, VmHaltReason::NonExistentMemory);
     EXPECT_EQ(fleet.machine(bad).memory().read32(
                   fleet.vm(bad).vmPhysToReal(0x3000)),
@@ -485,7 +487,8 @@ TEST(GoldenFleet, ReforkBudgetBoundsCrashRecovery)
         << "each re-fork starts over from the image, not from the "
            "crashed incarnation";
     // Retired incarnations' counters survive into the aggregates:
-    // 3 re-forks + the final incarnation each bumped the counter once.
+    // 3 microreboots + the final incarnation each bumped the counter
+    // once.
     const Stats total = fleet.totalMachineStats();
     EXPECT_GT(total.instructions,
               fleet.machine(bad).stats().instructions)
@@ -594,7 +597,8 @@ TEST(GoldenFleet, KilledForkStaysDownDespiteReforkBudget)
     fc.workers = 1;
     fc.sliceInstructions = 5000;
     fc.machine = gold.machineConfig();
-    fc.forkRestartBudget = 100;
+    fc.fleetSupervision.enabled = true;
+    fc.fleetSupervision.restartBudget = 100;
     HypervisorFleet fleet(fc);
     const int i = fleet.addForkedMember(gold);
     fleet.setFaultPlan(i, nullptr);
@@ -602,7 +606,7 @@ TEST(GoldenFleet, KilledForkStaysDownDespiteReforkBudget)
 
     fleet.run(2000000);
 
-    EXPECT_EQ(fleet.forkRestarts(), 0u)
+    EXPECT_EQ(fleet.microreboots(), 0u)
         << "a decommissioned member is never re-forked";
     EXPECT_EQ(fleet.vm(i).haltReason, VmHaltReason::VmmPolicy);
     EXPECT_EQ(fleet.machine(i).memory().read32(
