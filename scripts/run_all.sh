@@ -104,6 +104,20 @@ SWEEP_PLAN_FOR_SEED() {
 grep -c '^=== fault sweep' fault_sweep_output.txt |
     xargs -I{} echo "fault sweep: {} runs passed"
 
+# The repository benchmark (BENCHMARK.json, vbench/README.md): its
+# determinism self-test, then a short untraced run of each workload.
+# Every op checks its own result; a run whose result line (the last
+# line of stdout) is not "correct": true fails the script.
+python3 vbench/run.py --self-test
+for w in paper-mix compute-fleet fork-churn; do
+    echo "=== vbench: $w"
+    python3 vbench/run.py --workload "$w" --seconds 5 --trace 0 \
+        >"vbench_$w.txt" || { cat "vbench_$w.txt"; exit 1; }
+    tail -n 1 "vbench_$w.txt" | grep -q '"correct": true' ||
+        { cat "vbench_$w.txt"; echo "vbench: $w had a failed op"; exit 1; }
+    tail -n 1 "vbench_$w.txt"
+done
+
 {
   for b in build/bench/*; do
     [ -x "$b" ] || continue

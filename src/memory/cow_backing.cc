@@ -1,5 +1,6 @@
 #include "memory/cow_backing.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -28,6 +29,22 @@ std::size_t hostPageSize()
 #else
     return 4096;
 #endif
+}
+
+std::size_t
+CowResidency::unitsPerHostPage()
+{
+    static const std::size_t units =
+        hostPageSize() >= kUnitBytes ? hostPageSize() / kUnitBytes : 1;
+    return units;
+}
+
+std::size_t
+CowResidency::privateBytes(std::size_t image_bytes, bool kernel_cow) const
+{
+    if (!kernel_cow)
+        return image_bytes;
+    return std::min(privateHostPages_ * hostPageSize(), image_bytes);
 }
 
 namespace {

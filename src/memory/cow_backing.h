@@ -22,6 +22,7 @@
 #ifndef VVAX_MEMORY_COW_BACKING_H
 #define VVAX_MEMORY_COW_BACKING_H
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -41,6 +42,62 @@ enum class CowBacking : Byte {
  *  A VAX page (512 B) is smaller, so one host copy-up privatizes
  *  hostPageSize()/kPageSize VAX pages at once. */
 std::size_t hostPageSize();
+
+/**
+ * Copy-on-write residency of one forkable image (RAM or a VM disk),
+ * kept at each unit's first write instead of recounted on demand -
+ * the software counterpart of the VAX PTE<M> bit, which the hardware
+ * sets on the first write so nothing ever scans memory for it.  The
+ * owner keeps its own per-unit "written" flags and calls firstTouch()
+ * exactly once per unit, right after that unit's flag first turns
+ * nonzero.  A host page turns private when its first unit is touched:
+ * kernel copy-up copies whole host pages.
+ */
+class CowResidency
+{
+  public:
+    /** Bytes per unit: one VAX page, and one disk block. */
+    static constexpr std::size_t kUnitBytes = 512;
+
+    /**
+     * Count unit @p unit as touched, and its host page as private
+     * unless a sibling unit in that host page was touched earlier.
+     * @p flags are the owner's @p units per-unit written flags.
+     */
+    template <typename Flag>
+    void
+    firstTouch(const Flag *flags, std::size_t units, std::size_t unit)
+    {
+        touched_++;
+        const std::size_t per_host = unitsPerHostPage();
+        const std::size_t first = unit - unit % per_host;
+        const std::size_t end = std::min(first + per_host, units);
+        for (std::size_t u = first; u < end; ++u) {
+            if (u != unit && flags[u] != 0)
+                return;
+        }
+        privateHostPages_++;
+    }
+
+    /** Distinct units written since construction or reset(). */
+    std::size_t unitsTouched() const { return touched_; }
+
+    /**
+     * Host-page-rounded private resident bytes of an image of
+     * @p image_bytes: the touched host pages under kernel CoW, the
+     * whole image otherwise (owned and eager-copied storage).
+     */
+    std::size_t privateBytes(std::size_t image_bytes, bool kernel_cow) const;
+
+    void reset() { *this = CowResidency{}; }
+
+  private:
+    /** Units per host page (at least 1). */
+    static std::size_t unitsPerHostPage();
+
+    std::size_t touched_ = 0;
+    std::size_t privateHostPages_ = 0;
+};
 
 /**
  * Simulated host-resource failures (FaultClass::HostAlloc and the

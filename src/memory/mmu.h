@@ -213,7 +213,7 @@ class Mmu
             if (!regs_.mapen) {
                 if (static_cast<std::uint64_t>(va) + 4 <= ram_limit_) {
                     std::memcpy(ram_base_ + va, &value, 4);
-                    page_gen_base_[va >> kPageShift]++;
+                    memory_.bumpGen(page_gen_base_ + (va >> kPageShift));
                     return true;
                 }
             } else if (Tlb::Entry *e = tlb_.lookup(va)) {
@@ -223,7 +223,7 @@ class Mmu
                     stats_.tlbHits++;
                     std::memcpy(e->hostPage + (va & kPageOffsetMask),
                                 &value, 4);
-                    ++*e->pageGen;
+                    memory_.bumpGen(e->pageGen);
                     return true;
                 }
             }
@@ -314,7 +314,7 @@ class Mmu
             if (!regs_.mapen) {
                 if (va < ram_limit_) {
                     ram_base_[va] = value;
-                    page_gen_base_[va >> kPageShift]++;
+                    memory_.bumpGen(page_gen_base_ + (va >> kPageShift));
                     return;
                 }
             } else if (Tlb::Entry *e = tlb_.lookup(va)) {
@@ -323,7 +323,7 @@ class Mmu
                      Tlb::permBit(mode, AccessType::Write))) {
                     stats_.tlbHits++;
                     e->hostPage[va & kPageOffsetMask] = value;
-                    ++*e->pageGen;
+                    memory_.bumpGen(e->pageGen);
                     return;
                 }
             }
@@ -338,7 +338,7 @@ class Mmu
             if (!regs_.mapen) {
                 if (static_cast<std::uint64_t>(va) + 2 <= ram_limit_) {
                     std::memcpy(ram_base_ + va, &value, 2);
-                    page_gen_base_[va >> kPageShift]++;
+                    memory_.bumpGen(page_gen_base_ + (va >> kPageShift));
                     return;
                 }
             } else if (Tlb::Entry *e = tlb_.lookup(va)) {
@@ -348,7 +348,7 @@ class Mmu
                     stats_.tlbHits++;
                     std::memcpy(e->hostPage + (va & kPageOffsetMask),
                                 &value, 2);
-                    ++*e->pageGen;
+                    memory_.bumpGen(e->pageGen);
                     return;
                 }
             }
@@ -363,7 +363,7 @@ class Mmu
             if (!regs_.mapen) {
                 if (static_cast<std::uint64_t>(va) + 4 <= ram_limit_) {
                     std::memcpy(ram_base_ + va, &value, 4);
-                    page_gen_base_[va >> kPageShift]++;
+                    memory_.bumpGen(page_gen_base_ + (va >> kPageShift));
                     return;
                 }
             } else if (Tlb::Entry *e = tlb_.lookup(va)) {
@@ -373,7 +373,7 @@ class Mmu
                     stats_.tlbHits++;
                     std::memcpy(e->hostPage + (va & kPageOffsetMask),
                                 &value, 4);
-                    ++*e->pageGen;
+                    memory_.bumpGen(e->pageGen);
                     return;
                 }
             }

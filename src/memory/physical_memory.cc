@@ -1,12 +1,14 @@
 #include "memory/physical_memory.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 #include "metrics/stats.h"
 
 namespace vvax {
+
+static_assert(kPageSize == CowResidency::kUnitBytes,
+              "CoW residency counts RAM in VAX pages");
 
 namespace {
 
@@ -108,7 +110,7 @@ PhysicalMemory::write8(PhysAddr pa, Byte value)
 {
     if (pa < ramSize()) {
         ramData_[pa] = value;
-        page_gen_[pa >> kPageShift]++;
+        bumpGen(&page_gen_[pa >> kPageShift]);
         return;
     }
     const Window *w = findWindow(pa);
@@ -121,8 +123,8 @@ PhysicalMemory::write16(PhysAddr pa, Word value)
 {
     if (pa + 1 < ramSize()) {
         std::memcpy(ramData_ + pa, &value, 2);
-        page_gen_[pa >> kPageShift]++;
-        page_gen_[(pa + 1) >> kPageShift]++;
+        bumpGen(&page_gen_[pa >> kPageShift]);
+        bumpGen(&page_gen_[(pa + 1) >> kPageShift]);
         return;
     }
     const Window *w = findWindow(pa);
@@ -135,8 +137,8 @@ PhysicalMemory::write32(PhysAddr pa, Longword value)
 {
     if (pa + 3 < ramSize() && pa + 3 > pa) {
         std::memcpy(ramData_ + pa, &value, 4);
-        page_gen_[pa >> kPageShift]++;
-        page_gen_[(pa + 3) >> kPageShift]++;
+        bumpGen(&page_gen_[pa >> kPageShift]);
+        bumpGen(&page_gen_[(pa + 3) >> kPageShift]);
         return;
     }
     const Window *w = findWindow(pa);
@@ -153,7 +155,7 @@ PhysicalMemory::writeBlock(PhysAddr pa, std::span<const Byte> data)
         const PhysAddr first = pa >> kPageShift;
         const PhysAddr last = (pa + data.size() - 1) >> kPageShift;
         for (PhysAddr page = first; page <= last; ++page)
-            page_gen_[page]++;
+            bumpGen(&page_gen_[page]);
     }
 }
 
@@ -164,39 +166,28 @@ PhysicalMemory::readBlock(PhysAddr pa, std::span<Byte> data)
     std::memcpy(data.data(), ramData_ + pa, data.size());
 }
 
+void
+PhysicalMemory::firstTouch(std::uint32_t *cell)
+{
+    if (*cell == 0) {
+        // The counter wrapped after 2^32 stores.  The page is still
+        // written (and was counted at its real first touch); keep the
+        // counter nonzero so it reads that way.
+        *cell = 1;
+        return;
+    }
+    residency_.firstTouch(page_gen_.data(), page_gen_.size(),
+                          static_cast<std::size_t>(cell - page_gen_.data()));
+}
+
 CowStats
 PhysicalMemory::cowStats() const
 {
     CowStats cs;
     cs.forked = ram_.forked();
     cs.kernelCow = ram_.kernelCow();
-    for (std::uint32_t gen : page_gen_)
-        if (gen != 0)
-            cs.pagesTouched++;
-    if (!cs.kernelCow) {
-        // Owned or eager-copied storage: everything is private.
-        cs.privateBytes = ram_.size();
-        cs.sharedBytes = 0;
-        return cs;
-    }
-    // The kernel copies whole host pages; a host page is private as
-    // soon as any VAX page inside it has been written.
-    const std::size_t host_page = hostPageSize();
-    const std::size_t vax_per_host =
-        host_page >= kPageSize ? host_page / kPageSize : 1;
-    std::size_t private_host_pages = 0;
-    for (std::size_t i = 0; i < page_gen_.size(); i += vax_per_host) {
-        const std::size_t end = std::min(i + vax_per_host, page_gen_.size());
-        for (std::size_t j = i; j < end; ++j) {
-            if (page_gen_[j] != 0) {
-                private_host_pages++;
-                break;
-            }
-        }
-    }
-    cs.privateBytes = private_host_pages * host_page;
-    if (cs.privateBytes > ram_.size())
-        cs.privateBytes = ram_.size();
+    cs.pagesTouched = static_cast<Longword>(residency_.unitsTouched());
+    cs.privateBytes = residency_.privateBytes(ram_.size(), cs.kernelCow);
     cs.sharedBytes = ram_.size() - cs.privateBytes;
     return cs;
 }

@@ -44,11 +44,13 @@ class MmioHandler
 };
 
 /**
- * Copy-on-write residency of a forked machine's RAM, computed from
- * the per-page write-generation counters: because *every* store
- * funnel bumps its page's counter and forks start with the counters
- * zeroed, a nonzero counter is an exact "written since fork" bit.
- * Private bytes are rounded up to host pages — the granularity the
+ * Copy-on-write residency of a machine's RAM.  Every store funnel
+ * bumps its page's write-generation counter through
+ * PhysicalMemory::bumpGen(), and forks start with the counters
+ * zeroed, so a counter's 0 -> 1 transition is an exact "first write
+ * since fork" event: the touched-page and private-host-page counts
+ * are kept there (CowResidency), and reading them costs O(1).
+ * Private bytes are rounded up to host pages - the granularity the
  * kernel actually copies at.  For non-forked or eager-copy machines
  * all resident bytes are private and sharedBytes is 0.
  */
@@ -112,12 +114,13 @@ class PhysicalMemory
      * Host pointer to the write-generation counter of the RAM page
      * containing @p pa, or nullptr when pageBase() would be null.
      * Every store funnel (write8/16/32, writeBlock, the MMU's inline
-     * fast paths) bumps the counter of each page it touches; the
+     * fast paths, the VMM's host-pointer shadow-table stores) bumps
+     * the counter of each page it touches with bumpGen(); the
      * superblock executor compares it to detect stores into the page
-     * its instructions came from (docs/ARCHITECTURE.md §5a), and
-     * cowStats() reads `counter != 0` as "page written since fork".
-     * Like RAM pages the counter addresses are stable for the life of
-     * the machine; forked machines start them at zero.
+     * its instructions came from (docs/ARCHITECTURE.md §5a), and a
+     * nonzero counter means "page written since fork".  Like RAM
+     * pages the counter addresses are stable for the life of the
+     * machine; forked machines start them at zero.
      */
     std::uint32_t *
     pageGenCell(PhysAddr pa)
@@ -130,6 +133,19 @@ class PhysicalMemory
 
     /** The whole generation array, indexed by page frame number. */
     std::uint32_t *pageGenData() { return page_gen_.data(); }
+
+    /**
+     * Count one store into the page whose generation counter is
+     * @p cell (a pageGenCell() of this memory).  Only the page's first
+     * store since the fork, or a counter wrap, takes the out-of-line
+     * call that updates the CoW residency counts.
+     */
+    void
+    bumpGen(std::uint32_t *cell)
+    {
+        if (++*cell <= 1) [[unlikely]]
+            firstTouch(cell);
+    }
 
     // Accessors.  Out-of-range RAM access with no window is reported
     // by exists(); callers (the MMU) check first.  These assert.
@@ -152,7 +168,7 @@ class PhysicalMemory
     /** true when untouched pages are physically shared with the image. */
     bool kernelCowActive() const { return ram_.kernelCow(); }
 
-    /** Current CoW residency snapshot (O(ramPages) scan). */
+    /** Current CoW residency snapshot (O(1): kept at first touch). */
     CowStats cowStats() const;
     /** Copy cowStats() into the cow* gauge fields of @p stats. */
     void publishCowStats(Stats &stats) const;
@@ -166,10 +182,13 @@ class PhysicalMemory
     };
 
     const Window *findWindow(PhysAddr pa) const;
+    /** bumpGen()'s rare half: a first touch, or a counter wrap. */
+    void firstTouch(std::uint32_t *cell);
 
     CowView ram_;                         //!< backing policy (see @file)
     Byte *ramData_ = nullptr;             //!< == ram_.data(); hot-path copy
     std::vector<std::uint32_t> page_gen_; //!< per-page write counter
+    CowResidency residency_;              //!< counted at page_gen_ 0 -> 1
     std::vector<Window> windows_;
 };
 

@@ -34,8 +34,9 @@ namespace vvax {
  * copy-on-write view of the sealed base disk, with a block-keyed dirty
  * bitmap recording the fork's private overlay.  Every host-side write
  * funnel into the image (KCALL transfers, batch submits, loadVmDisk)
- * calls markWritten(), so blocksTouched()/privateBytes() account the
- * overlay exactly.
+ * calls markWritten(), which counts each block's first write into a
+ * CowResidency, so blocksTouched()/privateBytes() account the overlay
+ * exactly and in O(1).
  */
 class VmDisk
 {
@@ -90,7 +91,7 @@ class VmDisk
         for (std::size_t b = block; b < end; ++b) {
             if (!dirty_[b]) {
                 dirty_[b] = 1;
-                touched_++;
+                residency_.firstTouch(dirty_.data(), dirty_.size(), b);
             }
         }
     }
@@ -98,7 +99,7 @@ class VmDisk
     bool forked() const { return view_.forked(); }
     bool kernelCow() const { return view_.kernelCow(); }
     /** Distinct blocks written since resize/adoptCow. */
-    std::size_t blocksTouched() const { return touched_; }
+    std::size_t blocksTouched() const { return residency_.unitsTouched(); }
 
     /**
      * Host-page-rounded private resident bytes: under kernel CoW, the
@@ -108,23 +109,7 @@ class VmDisk
     std::size_t
     privateBytes() const
     {
-        if (!kernelCow())
-            return view_.size();
-        const std::size_t host_page = hostPageSize();
-        const std::size_t blocks_per_host =
-            host_page >= 512 ? host_page / 512 : 1;
-        std::size_t private_pages = 0;
-        for (std::size_t i = 0; i < dirty_.size(); i += blocks_per_host) {
-            const std::size_t end = std::min(i + blocks_per_host,
-                                             dirty_.size());
-            for (std::size_t b = i; b < end; ++b) {
-                if (dirty_[b]) {
-                    private_pages++;
-                    break;
-                }
-            }
-        }
-        return std::min(private_pages * host_page, view_.size());
+        return residency_.privateBytes(view_.size(), kernelCow());
     }
 
     std::size_t
@@ -138,12 +123,15 @@ class VmDisk
     resetDirty()
     {
         dirty_.assign((view_.size() + 511) / 512, 0);
-        touched_ = 0;
+        residency_.reset();
     }
 
+    static_assert(CowResidency::kUnitBytes == 512,
+                  "CoW residency counts the disk in 512-byte blocks");
+
     CowView view_;
-    std::vector<Byte> dirty_; //!< per-block "written since fork" bits
-    std::size_t touched_ = 0; //!< count of set bits in dirty_
+    std::vector<Byte> dirty_;  //!< per-block "written since fork" bits
+    CowResidency residency_;   //!< counted at each dirty_ 0 -> 1
 };
 
 /** How the VM's disk I/O is virtualized (paper Section 4.4.3). */

@@ -130,9 +130,13 @@ void
 Hypervisor::fillShadowPte(VirtualMachine &vm, VirtAddr va, Pte shadow)
 {
     // Shadow tables are VMM-allocated RAM pages: store through the
-    // host pointer, skipping the physical-memory dispatch.
+    // host pointer, skipping the physical-memory dispatch.  The store
+    // still counts as a write to its page (CoW residency); an aligned
+    // PTE never straddles two pages.
     const Longword raw = shadow.raw();
-    std::memcpy(mem_.ram().data() + shadowPtePa(vm, va), &raw, 4);
+    const PhysAddr pa = shadowPtePa(vm, va);
+    std::memcpy(mem_.ram().data() + pa, &raw, 4);
+    mem_.bumpGen(mem_.pageGenCell(pa));
     mmu_.tbis(va);
 }
 
@@ -328,6 +332,9 @@ Hypervisor::fillNullPtes(PhysAddr pa, Longword count)
     // entries are already null in the CoW-shared image, and skipping
     // the no-op store keeps the host page physically shared instead
     // of dirtying a private copy just to rewrite identical bytes.
+    // A store that does happen counts as a write to its page (CoW
+    // residency); table bases are page-aligned, so no store
+    // straddles two pages.
     Byte *p = mem_.ram().data() + pa;
     const std::uint64_t pair =
         (static_cast<std::uint64_t>(kNullPteRaw) << 32) | kNullPteRaw;
@@ -335,14 +342,18 @@ Hypervisor::fillNullPtes(PhysAddr pa, Longword count)
     for (; i + 2 <= count; i += 2, p += 8) {
         std::uint64_t cur;
         std::memcpy(&cur, p, 8);
-        if (cur != pair)
+        if (cur != pair) {
             std::memcpy(p, &pair, 8);
+            mem_.bumpGen(mem_.pageGenCell(pa + 4 * i));
+        }
     }
     if (i < count) {
         Longword cur;
         std::memcpy(&cur, p, 4);
-        if (cur != kNullPteRaw)
+        if (cur != kNullPteRaw) {
             std::memcpy(p, &kNullPteRaw, 4);
+            mem_.bumpGen(mem_.pageGenCell(pa + 4 * i));
+        }
     }
 }
 

@@ -26,6 +26,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -1179,6 +1180,58 @@ TEST(FleetSupervision, CrashingForksAreMicrorebootedThenQuarantined)
         << "microreboot scheduling is keyed on rounds, not threads";
     EXPECT_TRUE(two == rerun)
         << "crash recovery replays bit for bit";
+}
+
+TEST(FleetSupervision, BarrierCowGaugesStayFreshAcrossRunSteps)
+{
+    // barrierStats() is read mid-run by monitoring threads, so every
+    // barrier must publish the CoW gauges, not just the last one of a
+    // run: after each run() step they equal the current incarnations'
+    // own residency, crash-looping member included.
+    const GoldenImage gold = sealedMiniVmsImage(400);
+    const GoldenImage crash = sealedCrashImage();
+
+    using Gauges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+    auto runSteps = [&](int workers) {
+        FleetConfig fc;
+        fc.workers = workers;
+        fc.sliceInstructions = 250;
+        fc.machine = gold.machineConfig();
+        fc.fleetSupervision.enabled = true;
+        fc.fleetSupervision.restartBudget = 2;
+        fc.fleetSupervision.backoffSlices = 1;
+        HypervisorFleet fleet(fc);
+        fleet.addForkedMember(gold, 3);
+        fleet.addForkedMember(crash, 1);
+
+        Gauges steps;
+        for (int step = 0; step < 4; ++step) {
+            fleet.run(1000);
+            std::uint64_t touched = 0;
+            std::uint64_t private_bytes = 0;
+            for (int i = 0; i < fleet.size(); ++i) {
+                const CowStats cs = fleet.machine(i).memory().cowStats();
+                touched += cs.pagesTouched;
+                private_bytes += cs.privateBytes;
+            }
+            const Stats barrier = fleet.barrierStats();
+            EXPECT_EQ(barrier.cowPagesTouched, touched) << "step " << step;
+            EXPECT_EQ(barrier.cowPrivateBytes, private_bytes)
+                << "step " << step;
+            if (!steps.empty()) {
+                EXPECT_GT(touched, steps.back().first)
+                    << "the forks keep touching pages at step " << step;
+            }
+            steps.emplace_back(touched, private_bytes);
+        }
+        EXPECT_EQ(fleet.microreboots(), 2u);
+        EXPECT_EQ(fleet.quarantines(), 1u);
+        return steps;
+    };
+
+    const Gauges one = runSteps(1);
+    EXPECT_EQ(one, runSteps(2));
+    EXPECT_EQ(one, runSteps(4));
 }
 
 TEST(FleetSupervision, ForkLineageKeepsFaultIdentityStable)

@@ -3,13 +3,20 @@
  * MMU unit tests: translation through all three regions, the nested
  * process-page-table walk, protection enforcement (parameterized over
  * the full mode matrix), both modify-bit disciplines, the TLB, and
- * machine checks on non-existent memory.
+ * machine checks on non-existent memory.  Also the copy-on-write
+ * residency gauges of RAM and the VM disk against a from-scratch
+ * recount.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "memory/mmu.h"
 #include "metrics/cost_model.h"
+#include "vmm/vm_state.h"
 
 namespace vvax {
 namespace {
@@ -299,6 +306,240 @@ TEST_P(MmuProtectionSweep, TranslateMatchesProtectionTable)
 INSTANTIATE_TEST_SUITE_P(
     AllCodesAllModes, MmuProtectionSweep,
     ::testing::Combine(::testing::Range(0, 16), ::testing::Range(0, 4)));
+
+// ---------------------------------------------------------------------------
+// Copy-on-write residency: the O(1) gauges against a from-scratch recount
+// ---------------------------------------------------------------------------
+
+/** Host pages holding at least one flagged 512-byte unit. */
+template <typename Flags>
+std::size_t
+hostPagesWithAnyFlag(const Flags &flags, std::size_t units)
+{
+    const std::size_t per_host =
+        std::max<std::size_t>(hostPageSize() / 512, 1);
+    std::size_t pages = 0;
+    for (std::size_t first = 0; first < units; first += per_host) {
+        for (std::size_t u = first; u < std::min(first + per_host, units);
+             ++u) {
+            if (flags[u]) {
+                pages++;
+                break;
+            }
+        }
+    }
+    return pages;
+}
+
+/** Private bytes of an image with @p host_pages touched host pages. */
+std::uint64_t
+recountPrivateBytes(std::size_t host_pages, std::size_t image_bytes,
+                    bool kernel_cow)
+{
+    if (!kernel_cow)
+        return image_bytes;
+    return std::min(host_pages * hostPageSize(), image_bytes);
+}
+
+/** The gauges of @p memory must equal a scan of its generation
+ *  counters - the scan cowStats() no longer does. */
+void
+expectRamMatchesRecount(PhysicalMemory &memory, const char *after)
+{
+    const std::uint32_t *gen = memory.pageGenData();
+    const std::size_t pages = memory.ramPages();
+    Longword touched = 0;
+    for (std::size_t p = 0; p < pages; ++p)
+        touched += gen[p] != 0 ? 1 : 0;
+    const std::uint64_t private_bytes = recountPrivateBytes(
+        hostPagesWithAnyFlag(gen, pages), memory.ramSize(),
+        memory.kernelCowActive());
+
+    const CowStats cs = memory.cowStats();
+    EXPECT_EQ(cs.forked, memory.forkedFromImage()) << after;
+    EXPECT_EQ(cs.kernelCow, memory.kernelCowActive()) << after;
+    EXPECT_EQ(cs.pagesTouched, touched) << after;
+    EXPECT_EQ(cs.privateBytes, private_bytes) << after;
+    EXPECT_EQ(cs.sharedBytes, memory.ramSize() - private_bytes) << after;
+
+    Stats stats;
+    memory.publishCowStats(stats);
+    EXPECT_EQ(stats.cowPagesTouched, touched) << after;
+    EXPECT_EQ(stats.cowPrivateBytes, private_bytes) << after;
+}
+
+/** Seeded random stores into @p memory through every store funnel:
+ *  PhysicalMemory's write8/16/32 and writeBlock, and the MMU's inline
+ *  fast paths (writeV8/16/32, tryWriteV32) with mapping off and on. */
+void
+storeThroughEveryFunnel(PhysicalMemory &memory, std::uint32_t seed)
+{
+    constexpr PhysAddr kSpt = 0x10000;    // SPT: 16 S pages
+    constexpr PhysAddr kWindow = 0x40000; // stores land in 1024 pages
+    constexpr Longword kWindowPages = 1024;
+    constexpr PhysAddr kMappedWindow = 0xC0000; // mapped stores only
+    constexpr int kStores = 24;
+    std::mt19937 rng(seed);
+    auto page = [&] {
+        return kWindow + static_cast<PhysAddr>(rng() % kWindowPages) *
+                             kPageSize;
+    };
+    auto offset = [&] { return static_cast<Longword>(rng() % kPageSize); };
+
+    // Odd iterations store at the end of a page, so the 16- and
+    // 32-bit stores straddle into the next one.
+    for (int i = 0; i < kStores; ++i)
+        memory.write8(page() + offset(), static_cast<Byte>(i));
+    expectRamMatchesRecount(memory, "write8");
+    for (int i = 0; i < kStores; ++i)
+        memory.write16(page() + (i % 2 ? kPageSize - 1 : offset()),
+                       static_cast<Word>(i));
+    expectRamMatchesRecount(memory, "write16");
+    for (int i = 0; i < kStores; ++i)
+        memory.write32(page() + (i % 2 ? kPageSize - 1 - rng() % 3
+                                       : offset()),
+                       static_cast<Longword>(i));
+    expectRamMatchesRecount(memory, "write32");
+    for (int i = 0; i < kStores / 4; ++i) {
+        const std::vector<Byte> data(1 + rng() % (3 * kPageSize), 0x5A);
+        memory.writeBlock(page() + offset(), data);
+    }
+    expectRamMatchesRecount(memory, "writeBlock");
+
+    Stats stats;
+    const CostModel cost = CostModel::forModel(MachineModel::Vax8800);
+    Mmu mmu(memory, cost, stats);
+    // Aligned stores inside one page: every one the fast path can take.
+    auto store = [&](int i, VirtAddr va) {
+        MmStatus status = MmStatus::Ok;
+        switch (i % 4) {
+          case 0:
+            mmu.writeV8(va, static_cast<Byte>(i), AccessMode::Kernel);
+            break;
+          case 1:
+            mmu.writeV16(va, static_cast<Word>(i), AccessMode::Kernel);
+            break;
+          case 2:
+            mmu.writeV32(va, static_cast<Longword>(i), AccessMode::Kernel);
+            break;
+          default:
+            EXPECT_TRUE(mmu.tryWriteV32(va, static_cast<Longword>(i),
+                                        AccessMode::Kernel, &status));
+            break;
+        }
+    };
+    mmu.regs().mapen = false;
+    for (int i = 0; i < 4 * kStores; ++i)
+        store(i, page() + (offset() & ~3u));
+    expectRamMatchesRecount(memory, "MMU stores, mapping off");
+
+    // Map 16 S pages onto pages no store has touched yet, and fill
+    // the TLB by reading each one: the mapped stores' first touches
+    // then happen on TLB hits, in the inline fast path.
+    mmu.regs().sbr = kSpt;
+    mmu.regs().slr = 16;
+    for (Vpn vpn = 0; vpn < 16; ++vpn)
+        memory.write32(kSpt + 4 * vpn,
+                       Pte::make(true, Protection::KW, true,
+                                 (kMappedWindow >> kPageShift) + 2 * vpn)
+                           .raw());
+    mmu.regs().mapen = true;
+    for (Vpn vpn = 0; vpn < 16; ++vpn)
+        mmu.readV32(kSystemBase + vpn * kPageSize, AccessMode::Kernel);
+    const std::uint64_t misses = stats.tlbMisses;
+    for (int i = 0; i < 4 * kStores; ++i)
+        store(i, kSystemBase + (rng() % 16) * kPageSize + (offset() & ~3u));
+    EXPECT_EQ(stats.tlbMisses, misses) << "every mapped store hit the TLB";
+    expectRamMatchesRecount(memory, "MMU stores, mapping on");
+
+    // A counter that wraps after 2^32 stores still reads "written",
+    // and its page is not counted a second time.
+    const PhysAddr wrap = page();
+    memory.write8(wrap, 1);
+    const Longword touched = memory.cowStats().pagesTouched;
+    *memory.pageGenCell(wrap) = 0xFFFFFFFFu;
+    memory.write8(wrap, 2);
+    EXPECT_EQ(*memory.pageGenCell(wrap), 1u);
+    *memory.pageGenCell(wrap) = 0xFFFFFFFFu;
+    mmu.regs().mapen = false;
+    mmu.writeV32(wrap, 3, AccessMode::Kernel);
+    EXPECT_EQ(*memory.pageGenCell(wrap), 1u);
+    EXPECT_EQ(memory.cowStats().pagesTouched, touched);
+    expectRamMatchesRecount(memory, "generation wrap");
+}
+
+/** The disk's gauges must equal a recount of the blocks the test
+ *  marked in @p written. */
+void
+expectDiskMatchesRecount(const VmDisk &disk,
+                         const std::vector<bool> &written, const char *after)
+{
+    const std::size_t touched = static_cast<std::size_t>(
+        std::count(written.begin(), written.end(), true));
+    const std::uint64_t private_bytes = recountPrivateBytes(
+        hostPagesWithAnyFlag(written, written.size()), disk.size(),
+        disk.kernelCow());
+    EXPECT_EQ(disk.blocksTouched(), touched) << after;
+    EXPECT_EQ(disk.privateBytes(), private_bytes) << after;
+    EXPECT_EQ(disk.sharedBytes(),
+              disk.kernelCow() ? disk.size() - private_bytes : 0)
+        << after;
+}
+
+/** Seeded random markWritten() runs, some clipped at the disk's end. */
+void
+markRandomBlocks(VmDisk &disk, std::vector<bool> &written,
+                 std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    for (int i = 0; i < 48; ++i) {
+        const std::size_t block = rng() % written.size();
+        const std::size_t count = 1 + rng() % 4;
+        disk.markWritten(block, count);
+        for (std::size_t b = block;
+             b < std::min(block + count, written.size()); ++b)
+            written[b] = true;
+        expectDiskMatchesRecount(disk, written, "markWritten");
+    }
+}
+
+TEST(CowResidency, IncrementalMatchesRecount)
+{
+    constexpr Longword kRam = 1024 * 1024;
+    PhysicalMemory owned(kRam);
+    expectRamMatchesRecount(owned, "owned, fresh");
+    storeThroughEveryFunnel(owned, 1);
+
+    // A fork starts untouched, whatever its image went through.
+    const SealedRegion ram_image = SealedRegion::seal(owned.ram());
+    PhysicalMemory fork(kRam, ram_image,
+                        ram_image.kernelBacked() ? CowBacking::KernelCow
+                                                 : CowBacking::Auto);
+    EXPECT_TRUE(fork.forkedFromImage());
+    EXPECT_EQ(fork.kernelCowActive(), ram_image.kernelBacked());
+    EXPECT_EQ(fork.cowStats().pagesTouched, 0u);
+    expectRamMatchesRecount(fork, "fork, fresh");
+    storeThroughEveryFunnel(fork, 2);
+
+    constexpr std::size_t kBlocks = 1024;
+    VmDisk owned_disk;
+    owned_disk.resize(kBlocks * 512);
+    std::vector<bool> written(kBlocks, false);
+    markRandomBlocks(owned_disk, written, 3);
+
+    const SealedRegion disk_image = SealedRegion::seal(owned_disk);
+    VmDisk forked_disk;
+    forked_disk.adoptCow(disk_image, disk_image.kernelBacked()
+                                         ? CowBacking::KernelCow
+                                         : CowBacking::Auto);
+    EXPECT_TRUE(forked_disk.forked());
+    written.assign(kBlocks, false);
+    expectDiskMatchesRecount(forked_disk, written, "disk fork, fresh");
+    markRandomBlocks(forked_disk, written, 4);
+    forked_disk.overwrite(std::vector<Byte>(forked_disk.size(), 0x11));
+    written.assign(kBlocks, true);
+    expectDiskMatchesRecount(forked_disk, written, "overwrite");
+}
 
 } // namespace
 } // namespace vvax
