@@ -118,25 +118,30 @@ for w in paper-mix compute-fleet fork-churn; do
     tail -n 1 "vbench_$w.txt"
 done
 
-{
-  for b in build/bench/*; do
-    [ -x "$b" ] || continue
-    echo "================================================================"
-    echo "### $(basename "$b")"
-    case "$(basename "$b")" in
-      bench_sim_throughput) "$b" --benchmark_min_time=0.2 ;;
-      *) "$b" ;;
+# The paper experiments (EXPERIMENTS.md): each bench must exit 0, so a
+# crash or a failed self-check fails the run.
+(
+  for b in build/bench/bench_*; do
+    [ -f "$b" ] && [ -x "$b" ] || continue
+    name=$(basename "$b")
+    case "$name" in
+      bench_host_ratios) continue ;; # gated below
     esac
+    echo "================================================================"
+    echo "### $name"
+    "$b" || { echo "### $name exited with status $?"; exit 1; }
     echo
   done
-} 2>&1 | tee bench_output.txt
+) >bench_output.txt 2>&1 || { cat bench_output.txt; exit 1; }
+cat bench_output.txt
 
-# Throughput guard: a regression beyond the threshold fails the run.
-# Set VVAX_BENCH_WARN_ONLY=1 to demote it to a warning (e.g. on noisy
-# shared hosts where wall-clock numbers are unreliable).
+# Host-time A/B ratios (bench/bench_host_ratios.cc): a ratio under its
+# floor fails the run.  Set VVAX_BENCH_WARN_ONLY=1 to demote it to a
+# warning (e.g. on noisy shared hosts where wall-clock numbers are
+# unreliable).
 if [ "${VVAX_BENCH_WARN_ONLY:-0}" = "1" ]; then
-    scripts/check_bench_regression.sh ||
-        echo "WARNING: simulator throughput regressed vs BENCH_sim_throughput.json"
+    build/bench/bench_host_ratios ||
+        echo "WARNING: a host-time ratio missed its floor"
 else
-    scripts/check_bench_regression.sh
+    build/bench/bench_host_ratios
 fi

@@ -1351,6 +1351,25 @@ TEST(FleetSupervision, AsyncFaultClassesAreContainedAndWorkerInvariant)
     EXPECT_EQ(healthy.pagesRecopied, 0u);
 }
 
+TEST(FleetSupervision, HealthyForksRunToCompletionWithoutMicroreboots)
+{
+    // The clean path: four forks of the mix sealed after 2000
+    // instructions run to completion on two workers under the health
+    // state machine, and supervision never steps in.
+    const GoldenImage gold = sealedMiniVmsImage(2000);
+    const std::vector<const FaultPlan *> clean = {nullptr, nullptr,
+                                                  nullptr, nullptr};
+    const SupervisedOutcome out = runSupervisedForkedFleet(2, gold, &clean);
+    EXPECT_EQ(out.microreboots, 0u);
+    EXPECT_EQ(out.quarantines, 0u);
+    for (std::size_t i = 0; i < out.base.members.size(); ++i) {
+        EXPECT_EQ(out.health[i], MemberHealth::Healthy) << "fork " << i;
+        for (int c = 0; c < kNumFaultClasses; ++c)
+            EXPECT_EQ(out.base.members[i].stats.faultsInjected[c], 0u)
+                << "fork " << i;
+    }
+}
+
 TEST(FleetSupervision, MachineCheckStormDegradesThenRecovers)
 {
     // Three ECC machine checks land in distinct slices (the rule is

@@ -330,6 +330,34 @@ TEST(GoldenImage, CowAccountingTracksTouchedPagesNotImageSize)
     EXPECT_EQ(s.cowPagesTouched, after.pagesTouched);
     EXPECT_EQ(s.cowPrivateBytes, after.privateBytes);
     EXPECT_EQ(s.cowSharedBytes, after.sharedBytes);
+
+    // Density: sixteen forks, each given a 500-instruction idle slice,
+    // still share most of the image between them.
+    constexpr int kIdleForks = 16;
+    std::vector<GoldenFork> idle;
+    for (int i = 0; i < kIdleForks; ++i) {
+        idle.push_back(gold.fork(i));
+        idle.back().machine->setFaultPlan(nullptr);
+        idle.back().hv->run(500);
+    }
+    std::size_t idle_private = 0;
+    std::size_t idle_shared = 0;
+    for (GoldenFork &g : idle) {
+        const CowStats cs = g.machine->memory().cowStats();
+        idle_private += cs.privateBytes;
+        idle_shared += cs.sharedBytes;
+        for (int c = 0; c < kNumFaultClasses; ++c)
+            EXPECT_EQ(g.machine->stats().faultsInjected[c], 0u);
+    }
+    if (gold.kernelBacked()) {
+        EXPECT_GT(static_cast<double>(idle_shared) /
+                      static_cast<double>(idle_private + idle_shared),
+                  0.5)
+            << "idle forks must share most of the image";
+        EXPECT_LT(idle_private / kIdleForks, ram_bytes / 2)
+            << "an idle fork's private bytes must stay under half the "
+               "machine";
+    }
 }
 
 // ---------------------------------------------------------------------------
