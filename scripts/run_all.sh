@@ -2,7 +2,9 @@
 # Build, test, and regenerate every experiment (see EXPERIMENTS.md).
 set -e
 cd "$(dirname "$0")/.."
-cmake -B build
+# The tree builds warning-free; keep it that way by failing on any new
+# warning in the main build.
+cmake -B build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$(nproc)"
 # The whole suite once per host execution tier (VVAX_EXEC_TIER,
 # docs/ARCHITECTURE.md §5c): the lockstep digests must hold whether

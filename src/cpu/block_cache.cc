@@ -218,6 +218,13 @@ isMem(const PredecodedOp &t)
            t.indexReg == 0xFF;
 }
 
+/** Non-indexed (Rn)+ with a general register base. */
+bool
+isAutoInc(const PredecodedOp &t)
+{
+    return t.kind == PdKind::AutoInc && t.reg != PC && t.indexReg == 0xFF;
+}
+
 /** Encode a fusable memory operand: @p reg_op for addr = R[b] + imm,
  *  the *abs op that follows it for addr = imm. */
 void
@@ -257,9 +264,9 @@ branchOp(Opcode op)
 /**
  * Pick a fused handler for @p ci when its shape matches one, leaving
  * Generic otherwise.  Also splits the stream-fetch accounting around
- * the data access for the one fused shape whose reference ordering
- * interleaves them (MovMR: the destination specifier is fetched after
- * the source memory read).
+ * the data access for the fused shapes whose reference ordering
+ * interleaves them (MovMR and CmpbAincI: the second specifier is
+ * fetched after the first operand's memory read).
  */
 void
 classify(BlockInstr &bi, const PredecodedInstr &ci)
@@ -297,6 +304,10 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
                 bi.imm2 = o[0].disp;
                 setMemOperand(bi, kOpMovIMreg, o[1]);
             }
+        } else if (isAutoInc(o[1]) && isReg(o[0])) {
+            bi.op = kOpMovRAinc;
+            bi.a = o[0].reg;
+            bi.b = o[1].reg;
         }
         break;
 
@@ -305,6 +316,8 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
       case Opcode::BISL2:
       case Opcode::BICL2:
       case Opcode::XORL2:
+      case Opcode::MULL2:
+      case Opcode::DIVL2:
         if (isReg(o[1])) {
             BlockOp rr = kOpGeneric;
             switch (op) {
@@ -312,6 +325,8 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
               case Opcode::SUBL2: rr = kOpSubRR; break;
               case Opcode::BISL2: rr = kOpBisRR; break;
               case Opcode::BICL2: rr = kOpBicRR; break;
+              case Opcode::MULL2: rr = kOpMulRR; break;
+              case Opcode::DIVL2: rr = kOpDivRR; break;
               default: rr = kOpXorRR; break;
             }
             if (isReg(o[0])) {
@@ -340,6 +355,27 @@ classify(BlockInstr &bi, const PredecodedInstr &ci)
             bi.op = kOpCmpRI;
             bi.a = o[0].reg;
             bi.imm = o[1].disp;
+        }
+        break;
+
+      case Opcode::ASHL:
+      case Opcode::BICL3:
+        if (isImm(o[0]) && isReg(o[1]) && isReg(o[2])) {
+            bi.op = op == Opcode::ASHL ? kOpAshIR : kOpBic3IR;
+            bi.imm = o[0].disp;
+            bi.a = o[1].reg;
+            bi.b = o[2].reg;
+        }
+        break;
+
+      case Opcode::CMPB:
+        if (isAutoInc(o[0]) && isImm(o[1])) {
+            bi.op = kOpCmpbAincI;
+            bi.a = o[0].reg;
+            bi.imm = o[1].disp;
+            bi.fetchesPre = static_cast<Byte>(ci.opcodeFetches +
+                                              o[0].fetches);
+            bi.fetchesPost = o[1].fetches;
         }
         break;
 

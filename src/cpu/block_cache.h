@@ -62,6 +62,7 @@ enum BlockOp : Byte {
     kOpMovRMabs,
     kOpMovIMreg, //!< MOVL #imm, mem     (imm2 = value)
     kOpMovIMabs,
+    kOpMovRAinc, //!< MOVL Rs, (Rn)+     (a = src, b = Rn)
     // Register-only unary/compare forms.
     kOpClrR, //!< CLRL Rd              (b)
     kOpTstR, //!< TSTL Rs              (a)
@@ -74,9 +75,14 @@ enum BlockOp : Byte {
     kOpBisRR, kOpBisIR,
     kOpBicRR, kOpBicIR,
     kOpXorRR, kOpXorIR,
+    kOpMulRR, kOpMulIR, //!< MULL2
+    kOpDivRR, kOpDivIR, //!< DIVL2
+    kOpAshIR,  //!< ASHL #cnt, Rs, Rd  (imm = cnt, a = src, b = dst)
+    kOpBic3IR, //!< BICL3 #imm, Rs, Rd (imm = mask, a = src, b = dst)
     kOpCmpRR, //!< CMPL Rs, Rs2        (a, b = registers)
     kOpCmpIR, //!< CMPL #imm, Rs       (imm, b = register)
     kOpCmpRI, //!< CMPL Rs, #imm       (a = register, imm)
+    kOpCmpbAincI, //!< CMPB (Rn)+, #imm (a = Rn, imm)
     // Control transfers (always block-final; imm = target).
     kOpBra, //!< BRB/BRW
     kOpBneq, kOpBeql, kOpBgtr, kOpBleq, kOpBgeq, kOpBlss,

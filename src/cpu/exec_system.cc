@@ -18,6 +18,9 @@
  *    pending virtual interrupt deliverable (7.3).
  */
 
+#include <algorithm>
+#include <cstring>
+
 #include "cpu/cpu.h"
 
 namespace vvax {
@@ -653,14 +656,56 @@ Cpu::execMovc3(Decoded &d)
 
     // Simple non-interruptible copy; restart after a fault re-copies
     // from the beginning (acceptable for non-overlapping moves, which
-    // is what the guest code uses).
-    if (dst <= src) {
-        for (Longword i = 0; i < len; ++i)
-            mmu_.writeV8(dst + i, mmu_.readV8(src + i, mode), mode);
-    } else {
-        for (Longword i = len; i > 0; --i)
-            mmu_.writeV8(dst + i - 1, mmu_.readV8(src + i - 1, mode),
-                         mode);
+    // is what the guest code uses).  Bytes move low to high when
+    // dst <= src and high to low otherwise, so overlapping moves
+    // behave like memmove.
+    const bool forward = dst <= src;
+    Longword left = len;
+    while (left != 0) {
+        // The next byte to move, and the run up to the first page
+        // boundary on either side in the direction of the copy.
+        const Longword i = forward ? len - left : left - 1;
+        const VirtAddr s = src + i;
+        const VirtAddr t = dst + i;
+        const auto room = [forward](VirtAddr va) -> Longword {
+            const Longword off = va & kPageOffsetMask;
+            return forward ? kPageSize - off : off + 1;
+        };
+        const Longword n = std::min({left, room(s), room(t)});
+        std::uint32_t *dst_gen = nullptr;
+        const VirtAddr s0 = forward ? s : s - (n - 1);
+        const VirtAddr t0 = forward ? t : t - (n - 1);
+        const Byte *sp = mmu_.fastSpan(s0, AccessType::Read, mode);
+        Byte *tp = sp != nullptr ? mmu_.fastSpan(t0, AccessType::Write,
+                                                 mode, &dst_gen)
+                                 : nullptr;
+        if (tp == nullptr) {
+            // Either side would miss the fast path: one byte through
+            // the full accessors (TLB fill, MMIO, faults), then retry.
+            mmu_.writeV8(t, mmu_.readV8(s, mode), mode);
+            --left;
+            continue;
+        }
+        // Both pages resolve without a walk: the span costs exactly
+        // what n fast-path byte reads and writes would.  Generations
+        // are only ever compared for equality, so one bump stands for
+        // n.  memmove matches the byte order unless the two host spans
+        // overlap (two pages aliasing one frame) in the opposite order
+        // to the virtual addresses.
+        const bool overlap = tp < sp + n && sp < tp + n;
+        if (!overlap || (forward ? tp <= sp : tp >= sp)) {
+            std::memmove(tp, sp, n);
+        } else if (forward) {
+            for (Longword k = 0; k < n; ++k)
+                tp[k] = sp[k];
+        } else {
+            for (Longword k = n; k > 0; --k)
+                tp[k - 1] = sp[k - 1];
+        }
+        if (mmu_.regs().mapen)
+            stats_.tlbHits += 2 * static_cast<std::uint64_t>(n);
+        mmu_.memory().bumpGen(dst_gen);
+        left -= n;
     }
 
     d.regsAfter[R0] = 0;

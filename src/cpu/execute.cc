@@ -5,38 +5,11 @@
  * (CHM, REI, MTPR, PROBE, ...) live in exec_system.cc.
  */
 
+#include "cpu/alu.h"
 #include "cpu/cpu.h"
 #include "cpu/overflow.h"
 
 namespace vvax {
-
-namespace {
-
-constexpr Longword
-signBit(OpSize size)
-{
-    switch (size) {
-      case OpSize::B: return 0x80u;
-      case OpSize::W: return 0x8000u;
-      case OpSize::L:
-      case OpSize::Q: return 0x80000000u; // per-half for quads
-    }
-    return 0;
-}
-
-constexpr Longword
-sizeMask(OpSize size)
-{
-    switch (size) {
-      case OpSize::B: return 0xFFu;
-      case OpSize::W: return 0xFFFFu;
-      case OpSize::L:
-      case OpSize::Q: return 0xFFFFFFFFu; // per-half for quads
-    }
-    return 0;
-}
-
-} // namespace
 
 void
 Cpu::execute(Decoded &d)
@@ -50,27 +23,13 @@ Cpu::execute(Decoded &d)
     auto branchTo = [&](int operand_index) {
         d.nextPc = d.operands[operand_index].value;
     };
-    auto maybeOverflowTrap = [&] {
-        if (psl_.v() && psl_.flag(Psl::kIv)) {
-            throw GuestFault::withParam(ScbVector::Arithmetic,
-                                        arithcode::kIntegerOverflow,
-                                        /*abort=*/false);
-        }
-    };
-    // Compare: cc from src1 - src2 without storing.
-    auto compare = [&](Longword s1, Longword s2, OpSize size) {
-        const Longword mask = sizeMask(size);
-        const Longword sign = signBit(size);
-        const Longword a = s1 & mask, b = s2 & mask;
-        // Sign-extend to 32 bits for the signed comparison.
-        const auto sx = [&](Longword v) -> std::int32_t {
-            if (size == OpSize::L)
-                return static_cast<std::int32_t>(v);
-            if (v & sign)
-                v |= ~mask;
-            return static_cast<std::int32_t>(v);
-        };
-        psl_.setNzvc(sx(a) < sx(b), a == b, false, a < b);
+    // MUL/DIV/ASH: store the result, commit, then set the codes and
+    // raise any trap (alu.h holds the semantics).
+    auto arith = [&](int dst, const AluResult &r) {
+        operandWrite(d, dst, r.value);
+        commit();
+        setCc(psl_, r.cc());
+        raiseArithTraps(psl_, r);
     };
 
     switch (op) {
@@ -245,7 +204,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc(!overflow && q < 0, !overflow && q == 0,
                      overflow, false);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::MOVAB:
@@ -285,7 +244,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc((r & 0x80000000u) != 0, r == 0, s == 0x80000000u,
                      s != 0);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::MCOML: {
@@ -312,7 +271,7 @@ Cpu::execute(Decoded &d)
         const Longword a = operandRead(d, 0);
         const Longword b = operandRead(d, 1);
         commit();
-        compare(a, b, d.operands[0].size);
+        setCc(psl_, compareCc(a, b, d.operands[0].size));
         return;
       }
 
@@ -326,7 +285,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc((sum & 0x80000000u) != 0, sum == 0,
                      addOverflows(a, b, sum), sum < a);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::SUBL2:
@@ -338,7 +297,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc((dif & 0x80000000u) != 0, dif == 0,
                      subOverflows(min, sub, dif), min < sub);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::INCL:
@@ -352,7 +311,7 @@ Cpu::execute(Decoded &d)
                                           : subOverflows(a, 1, r);
         const bool c = op == Opcode::INCL ? r < a : a < 1;
         psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, c);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::ADWC:
@@ -378,82 +337,22 @@ Cpu::execute(Decoded &d)
         operandWrite(d, 1, r);
         commit();
         psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, c);
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::MULL2:
-      case Opcode::MULL3: {
-        const Longword a = operandRead(d, 0);
-        const Longword b = operandRead(d, 1);
-        const std::int64_t wide = static_cast<std::int64_t>(
-                                      static_cast<std::int32_t>(a)) *
-                                  static_cast<std::int32_t>(b);
-        const Longword r = static_cast<Longword>(wide);
-        const bool v =
-            wide != static_cast<std::int64_t>(static_cast<std::int32_t>(r));
-        operandWrite(d, op == Opcode::MULL2 ? 1 : 2, r);
-        commit();
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, false);
-        maybeOverflowTrap();
+      case Opcode::MULL3:
+        arith(op == Opcode::MULL2 ? 1 : 2,
+              mulL(operandRead(d, 0), operandRead(d, 1)));
         return;
-      }
       case Opcode::DIVL2:
-      case Opcode::DIVL3: {
-        const auto divisor =
-            static_cast<std::int32_t>(operandRead(d, 0));
-        const auto dividend =
-            static_cast<std::int32_t>(operandRead(d, 1));
-        const int dst = op == Opcode::DIVL2 ? 1 : 2;
-        if (divisor == 0) {
-            operandWrite(d, dst, static_cast<Longword>(dividend));
-            commit();
-            psl_.setNzvc(dividend < 0, dividend == 0, true, false);
-            throw GuestFault::withParam(ScbVector::Arithmetic,
-                                        arithcode::kIntegerDivideByZero,
-                                        /*abort=*/false);
-        }
-        if (dividend == INT32_MIN && divisor == -1) {
-            operandWrite(d, dst, static_cast<Longword>(dividend));
-            commit();
-            psl_.setNzvc(true, false, true, false);
-            maybeOverflowTrap();
-            return;
-        }
-        const std::int32_t q = dividend / divisor;
-        operandWrite(d, dst, static_cast<Longword>(q));
-        commit();
-        psl_.setNzvc(q < 0, q == 0, false, false);
+      case Opcode::DIVL3:
+        arith(op == Opcode::DIVL2 ? 1 : 2,
+              divL(operandRead(d, 0), operandRead(d, 1)));
         return;
-      }
-      case Opcode::ASHL: {
-        const auto cnt = static_cast<std::int8_t>(operandRead(d, 0));
-        const Longword src = operandRead(d, 1);
-        Longword r;
-        bool v = false;
-        if (cnt >= 0) {
-            if (cnt >= 32) {
-                r = 0;
-                v = src != 0;
-            } else {
-                r = src << cnt;
-                // Overflow if any shifted-out bit differs from sign.
-                if (cnt > 0) {
-                    const auto s = static_cast<std::int32_t>(src);
-                    const auto back = static_cast<std::int32_t>(r) >> cnt;
-                    v = back != s;
-                }
-            }
-        } else {
-            const int n = -cnt >= 32 ? 31 : -cnt;
-            r = static_cast<Longword>(
-                static_cast<std::int32_t>(src) >> n);
-        }
-        operandWrite(d, 2, r);
-        commit();
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, false);
-        maybeOverflowTrap();
+      case Opcode::ASHL:
+        arith(2, ashL(operandRead(d, 0), operandRead(d, 1)));
         return;
-      }
 
       // ----- Logical -------------------------------------------------------
       case Opcode::BISL2:
@@ -607,7 +506,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc(si < 0, si == 0,
                      addOverflows(index - 1, 1, index), psl_.c());
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
       case Opcode::SOBGEQ:
@@ -621,7 +520,7 @@ Cpu::execute(Decoded &d)
         commit();
         psl_.setNzvc(si < 0, si == 0,
                      subOverflows(index + 1, 1, index), psl_.c());
-        maybeOverflowTrap();
+        raiseOverflowTrap(psl_);
         return;
       }
 

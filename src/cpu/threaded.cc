@@ -35,6 +35,7 @@
 
 #include <cstring>
 
+#include "cpu/alu.h"
 #include "cpu/cpu.h"
 #include "cpu/overflow.h"
 
@@ -141,11 +142,7 @@ namespace vvax {
     regs_[PC] = instr_pc + s->len;                                    \
     psl_.setNzvc((sum & 0x80000000u) != 0, sum == 0,                  \
                  addOverflows(a, b, sum), sum < a);                   \
-    if (psl_.v() && psl_.flag(Psl::kIv)) {                            \
-        throw GuestFault::withParam(ScbVector::Arithmetic,            \
-                                    arithcode::kIntegerOverflow,      \
-                                    /*abort=*/false);                 \
-    }                                                                 \
+    raiseOverflowTrap(psl_);                                          \
     VVAX_EPI_NOMEM();                                                 \
   }
 
@@ -160,11 +157,7 @@ namespace vvax {
     regs_[PC] = instr_pc + s->len;                                    \
     psl_.setNzvc((dif & 0x80000000u) != 0, dif == 0,                  \
                  subOverflows(min, sub, dif), min < sub);             \
-    if (psl_.v() && psl_.flag(Psl::kIv)) {                            \
-        throw GuestFault::withParam(ScbVector::Arithmetic,            \
-                                    arithcode::kIntegerOverflow,      \
-                                    /*abort=*/false);                 \
-    }                                                                 \
+    raiseOverflowTrap(psl_);                                          \
     VVAX_EPI_NOMEM();                                                 \
   }
 
@@ -186,9 +179,21 @@ namespace vvax {
     const Longword x = (xexpr);                                       \
     const Longword y = (yexpr);                                       \
     regs_[PC] = instr_pc + s->len;                                    \
-    psl_.setNzvc(static_cast<std::int32_t>(x) <                       \
-                     static_cast<std::int32_t>(y),                    \
-                 x == y, false, x < y);                               \
+    setCc(psl_, compareCc(x, y, OpSize::L));                          \
+    VVAX_EPI_NOMEM();                                                 \
+  }
+
+/* MUL/DIV/ASH with a register destination (b): the result commits
+ * with the PC before any trap, as in the execute switch. */
+#define VVAX_ARITH(label, resultexpr)                                 \
+  label: {                                                            \
+    if (mapped)                                                       \
+        stats_.tlbHits += s->fetchesPre;                              \
+    const AluResult r = (resultexpr);                                 \
+    regs_[s->b] = r.value;                                            \
+    regs_[PC] = instr_pc + s->len;                                    \
+    setCc(psl_, r.cc());                                              \
+    raiseArithTraps(psl_, r);                                         \
     VVAX_EPI_NOMEM();                                                 \
   }
 
@@ -206,11 +211,7 @@ namespace vvax {
     br_taken = taken;                                                 \
     psl_.setNzvc(si < 0, si == 0, subOverflows(orig, 1, index),       \
                  psl_.c());                                           \
-    if (psl_.v() && psl_.flag(Psl::kIv)) {                            \
-        throw GuestFault::withParam(ScbVector::Arithmetic,            \
-                                    arithcode::kIntegerOverflow,      \
-                                    /*abort=*/false);                 \
-    }                                                                 \
+    raiseOverflowTrap(psl_);                                          \
     VVAX_EPI_NOMEM();                                                 \
   }
 
@@ -263,11 +264,13 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     static const void *const kLab[kNumBlockOps] = {
         &&L_Generic,  &&L_MovRR,    &&L_MovIR,    &&L_MovMRreg,
         &&L_MovMRabs, &&L_MovRMreg, &&L_MovRMabs, &&L_MovIMreg,
-        &&L_MovIMabs, &&L_ClrR,     &&L_TstR,     &&L_IncR,
-        &&L_DecR,     &&L_AddRR,    &&L_AddIR,    &&L_SubRR,
-        &&L_SubIR,    &&L_BisRR,    &&L_BisIR,    &&L_BicRR,
-        &&L_BicIR,    &&L_XorRR,    &&L_XorIR,    &&L_CmpRR,
-        &&L_CmpIR,    &&L_CmpRI,    &&L_Bra,      &&L_Bneq,
+        &&L_MovIMabs, &&L_MovRAinc, &&L_ClrR,     &&L_TstR,
+        &&L_IncR,     &&L_DecR,     &&L_AddRR,    &&L_AddIR,
+        &&L_SubRR,    &&L_SubIR,    &&L_BisRR,    &&L_BisIR,
+        &&L_BicRR,    &&L_BicIR,    &&L_XorRR,    &&L_XorIR,
+        &&L_MulRR,    &&L_MulIR,    &&L_DivRR,    &&L_DivIR,
+        &&L_AshIR,    &&L_Bic3IR,   &&L_CmpRR,    &&L_CmpIR,
+        &&L_CmpRI,    &&L_CmpbAincI, &&L_Bra,     &&L_Bneq,
         &&L_Beql,     &&L_Bgtr,     &&L_Bleq,     &&L_Bgeq,
         &&L_Blss,     &&L_Bgtru,    &&L_Blequ,    &&L_Bvc,
         &&L_Bvs,      &&L_Bcc,      &&L_Bcs,      &&L_SobGeq,
@@ -345,6 +348,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         goto *s->handler;
 
     L_Generic: {
+        stats_.threadedGenericSteps++;
         Decoded &d = decode_scratch_;
         d.regsAfter = regs_scratch_;
         std::memcpy(d.regsAfter, regs_, sizeof(Longword) * kNumRegs);
@@ -411,6 +415,21 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     VVAX_MOVxM(L_MovIMreg, regs_[s->b] + s->imm, s->imm2)
     VVAX_MOVxM(L_MovIMabs, static_cast<VirtAddr>(s->imm), s->imm2)
 
+    L_MovRAinc: {
+        // The source is read before the increment (Rs == Rn stores
+        // the old pointer), and Rn moves only once the store is done.
+        if (mapped)
+            stats_.tlbHits += s->fetchesPre;
+        const VirtAddr addr = regs_[s->b];
+        validateOperandWrite(addr, OpSize::L, mode);
+        const Longword v = regs_[s->a];
+        mmu_.writeV32(addr, v, mode);
+        regs_[s->b] = addr + 4;
+        regs_[PC] = instr_pc + s->len;
+        setCcLogical(v, OpSize::L);
+        VVAX_EPI_WRITE();
+    }
+
     L_ClrR: {
         if (mapped)
             stats_.tlbHits += s->fetchesPre;
@@ -437,11 +456,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         regs_[PC] = instr_pc + s->len;
         psl_.setNzvc((r & 0x80000000u) != 0, r == 0,
                      addOverflows(a, 1, r), r < a);
-        if (psl_.v() && psl_.flag(Psl::kIv)) {
-            throw GuestFault::withParam(ScbVector::Arithmetic,
-                                        arithcode::kIntegerOverflow,
-                                        /*abort=*/false);
-        }
+        raiseOverflowTrap(psl_);
         VVAX_EPI_NOMEM();
     }
     L_DecR: {
@@ -453,11 +468,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         regs_[PC] = instr_pc + s->len;
         psl_.setNzvc((r & 0x80000000u) != 0, r == 0,
                      subOverflows(a, 1, r), a < 1);
-        if (psl_.v() && psl_.flag(Psl::kIv)) {
-            throw GuestFault::withParam(ScbVector::Arithmetic,
-                                        arithcode::kIntegerOverflow,
-                                        /*abort=*/false);
-        }
+        raiseOverflowTrap(psl_);
         VVAX_EPI_NOMEM();
     }
 
@@ -471,9 +482,28 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     VVAX_LOGI(L_BicIR, ~s->imm & regs_[s->b])
     VVAX_LOGI(L_XorRR, regs_[s->a] ^ regs_[s->b])
     VVAX_LOGI(L_XorIR, s->imm ^ regs_[s->b])
+    VVAX_ARITH(L_MulRR, mulL(regs_[s->a], regs_[s->b]))
+    VVAX_ARITH(L_MulIR, mulL(s->imm, regs_[s->b]))
+    VVAX_ARITH(L_DivRR, divL(regs_[s->a], regs_[s->b]))
+    VVAX_ARITH(L_DivIR, divL(s->imm, regs_[s->b]))
+    VVAX_ARITH(L_AshIR, ashL(s->imm, regs_[s->a]))
+    VVAX_LOGI(L_Bic3IR, ~s->imm & regs_[s->a])
     VVAX_CMP(L_CmpRR, regs_[s->a], regs_[s->b])
     VVAX_CMP(L_CmpIR, s->imm, regs_[s->b])
     VVAX_CMP(L_CmpRI, regs_[s->a], s->imm)
+
+    L_CmpbAincI: {
+        // Read first: a faulting read must leave Rn unincremented.
+        if (mapped)
+            stats_.tlbHits += s->fetchesPre;
+        const Longword x = mmu_.readV8(regs_[s->a], mode);
+        if (mapped)
+            stats_.tlbHits += s->fetchesPost;
+        regs_[s->a] += 1;
+        regs_[PC] = instr_pc + s->len;
+        setCc(psl_, compareCc(x, s->imm, OpSize::B));
+        VVAX_EPI_TOUCH();
+    }
 
     L_Bra: {
         if (mapped)

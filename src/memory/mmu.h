@@ -415,6 +415,39 @@ class Mmu
     }
 
     /**
+     * Host pointer to @p va when the inline fast path of readV8 /
+     * writeV8 would complete an access of @p type there - mapping off
+     * and RAM, or a TLB hit on a RAM page with the permission bit set -
+     * and nullptr otherwise.  Pure lookup: no counters, no fill.  Every
+     * byte from @p va to the end of its page resolves the same way, so
+     * a bulk copy (MOVC3) can move a page span at once and do the
+     * per-byte accounting itself: a TLB hit per access when mapping is
+     * on, and for stores a bump of the page's write-generation cell,
+     * stored to @p gen when that is non-null.
+     */
+    Byte *
+    fastSpan(VirtAddr va, AccessType type, AccessMode mode,
+             std::uint32_t **gen = nullptr)
+    {
+        if (!fast_enabled_)
+            return nullptr;
+        if (!regs_.mapen) {
+            if (va >= ram_limit_)
+                return nullptr;
+            if (gen != nullptr)
+                *gen = page_gen_base_ + (va >> kPageShift);
+            return ram_base_ + va;
+        }
+        Tlb::Entry *e = tlb_.lookup(va);
+        if (e == nullptr || e->hostPage == nullptr ||
+            !(e->permMask & Tlb::permBit(mode, type)))
+            return nullptr;
+        if (gen != nullptr)
+            *gen = e->pageGen;
+        return e->hostPage + (va & kPageOffsetMask);
+    }
+
+    /**
      * Write-generation cell of the RAM page @p page_base points at
      * (a pointer previously obtained from instrPage() or a TLB
      * entry's hostPage, both of which are PhysicalMemory page bases).

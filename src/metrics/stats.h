@@ -98,7 +98,9 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
  *                         in / dropped; trace-link edges formed /
  *                         crossed / cut / mispredicted; blocks bound to
  *                         threaded handlers, instructions they retired,
- *                         abnormal driver exits, bound blocks discarded
+ *                         abnormal driver exits, instructions the
+ *                         driver replayed through the execute switch
+ *                         (no fused handler), bound blocks discarded
  *   cow*                - 1 when RAM forked from an image, 1 when kernel
  *                         CoW is active, VAX pages written since fork,
  *                         host-page-rounded private bytes, bytes still
@@ -141,6 +143,7 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
     X(Host, std::uint64_t, threadedCompiles)                           \
     X(Host, std::uint64_t, threadedInstructions)                       \
     X(Host, std::uint64_t, threadedBails)                              \
+    X(Host, std::uint64_t, threadedGenericSteps)                       \
     X(Host, std::uint64_t, threadedDiscards)                           \
     X(Gauge, std::uint64_t, cowForkedRam)                              \
     X(Gauge, std::uint64_t, cowKernelBacked)                           \

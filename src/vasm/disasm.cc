@@ -13,12 +13,13 @@ const char *const kRegNames[16] = {
     "r8", "r9", "r10", "r11", "ap", "fp", "sp", "pc",
 };
 
+/** @p v in hex after @p prefix ("#0x2A"), formatted in one piece. */
 std::string
-hex(Longword v)
+hex(Longword v, const char *prefix = "")
 {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%X", v);
-    return std::string("0x") + buf;
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%s0x%X", prefix, v);
+    return buf;
 }
 
 } // namespace
@@ -54,7 +55,7 @@ disassemble(VirtAddr va, const std::function<Byte(VirtAddr)> &fetch)
         const Byte m = spec >> 4;
         switch (m) {
           case 0: case 1: case 2: case 3:
-            return "#" + hex(spec & 0x3F);
+            return hex(spec & 0x3F, "#");
           case 4: {
             if (!allow_index)
                 return "?[r" + std::to_string(rn) + "]";
@@ -74,15 +75,15 @@ disassemble(VirtAddr va, const std::function<Byte(VirtAddr)> &fetch)
                   case OpSize::Q: {
                     const Longword lo = f32();
                     const Longword hi = f32();
-                    return "#" + hex(hi) + ":" + hex(lo);
+                    return hex(hi, "#") + ":" + hex(lo);
                   }
                 }
-                return "#" + hex(v);
+                return hex(v, "#");
             }
             return std::string("(") + kRegNames[rn] + ")+";
           case 9:
             if (rn == PC)
-                return "@#" + hex(f32());
+                return hex(f32(), "@#");
             return std::string("@(") + kRegNames[rn] + ")+";
           case 0xA: case 0xB: {
             const auto d = static_cast<std::int8_t>(f8());

@@ -10,7 +10,9 @@
  * condition codes, memory) must be bit-identical.
  */
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -27,7 +29,19 @@ namespace {
 constexpr VirtAddr kDataBase = 0x4000; // scratch page for stores
 constexpr Longword kDataBytes = 1024;
 
-/** Generate a random straight-line integer program. */
+/** Trips of randomProgram's loop: enough for its blocks to be built,
+ *  bound to handlers and linked, so the body retires through the
+ *  threaded driver as well as the interpreter. */
+constexpr int kRandomTrips = 10;
+
+/**
+ * Generate a random integer program: registers seeded with known
+ * values, then a straight-line body of @p length random operations
+ * run kRandomTrips times.  R10 is the body's (R10)+ pointer into the
+ * data page, reset at the top of every trip and whenever the next
+ * access could leave the page; the body's last instruction captures
+ * the condition codes in R10 with MOVPSL.  R11 counts the trips.
+ */
 CodeBuilder
 randomProgram(std::uint32_t seed, int length)
 {
@@ -43,13 +57,32 @@ randomProgram(std::uint32_t seed, int length)
           default: return reg();
         }
     };
+    // ASHL counts at and around every edge of the shift semantics.
+    static constexpr std::int32_t kShiftEdges[] = {-33, -32, -31, -1, 0,
+                                                   1,   31,  32,  33};
+    Longword ptr_off = 0;
+    auto resetPointer = [&] {
+        b.movl(Op::imm(kDataBase), Op::reg(R10));
+        ptr_off = 0;
+    };
+    // (R10)+ operand for an access of @p bytes.
+    auto autoInc = [&](Longword bytes) {
+        if (ptr_off + bytes > kDataBytes)
+            resetPointer();
+        ptr_off += bytes;
+        return Op::autoInc(R10);
+    };
 
     // Seed registers with known values.
     for (int r = 0; r < 10; ++r)
         b.movl(Op::imm(rng()), Op::reg(static_cast<Byte>(r)));
 
+    b.movl(Op::imm(kRandomTrips), Op::reg(R11));
+    Label trip = b.newLabel();
+    b.bind(trip);
+    resetPointer();
     for (int i = 0; i < length; ++i) {
-        switch (rng() % 12) {
+        switch (rng() % 16) {
           case 0: b.addl2(src(), reg()); break;
           case 1: b.subl2(src(), reg()); break;
           case 2: b.mull2(src(), reg()); break;
@@ -75,15 +108,34 @@ randomProgram(std::uint32_t seed, int length)
             b.movl(Op::abs(kDataBase + offset), reg());
             break;
           }
-          default: {
+          case 11: {
             const auto count =
                 static_cast<Byte>((rng() % 31) - 15 + 16); // 1..31
             b.ashl(Op::lit(count % 31), reg(), reg());
             break;
           }
+          case 12: {
+            const auto edge = kShiftEdges[rng() % std::size(kShiftEdges)];
+            b.ashl(Op::imm(static_cast<Longword>(edge)), reg(), reg());
+            break;
+          }
+          case 13: b.bicl3(src(), reg(), reg()); break;
+          case 14: b.cmpb(autoInc(1), src()); break;
+          default: {
+            // One store in four writes the pointer through itself.
+            const Op val = rng() % 4 == 0 ? Op::reg(R10) : reg();
+            b.movl(val, autoInc(4));
+            break;
+          }
         }
     }
     b.movpsl(Op::reg(R10)); // capture the final condition codes
+    // The body outgrows SOBGTR's byte displacement.
+    Label done = b.newLabel();
+    b.decl_(Op::reg(R11));
+    b.beql(done);
+    b.brw(trip);
+    b.bind(done);
     b.halt();
     return b;
 }
@@ -279,7 +331,17 @@ expectDigestsEqual(const MachineDigest &fast, const MachineDigest &ref)
     EXPECT_TRUE(fast == ref);
 }
 
-/** Run a random straight-line program on a bare modified VAX. */
+/** On the threaded tier, randomProgram's loop must retire mostly
+ *  through the driver's fused handlers. */
+void
+expectLoopReachedDriver(RealMachine &m)
+{
+    if (m.cpu().execTier() != ExecTier::Threaded || m.mmu().referencePath())
+        return;
+    EXPECT_GT(m.stats().threadedInstructions, m.stats().instructions / 2);
+}
+
+/** Run a random program on a bare modified VAX. */
 MachineDigest
 lockstepBareProgram(std::uint32_t seed, bool reference)
 {
@@ -295,6 +357,7 @@ lockstepBareProgram(std::uint32_t seed, bool reference)
     m.cpu().setReg(SP, 0x3000);
     m.run(100000);
     EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+    expectLoopReachedDriver(m);
     return digestOf(m);
 }
 
@@ -334,6 +397,7 @@ lockstepVirtualProgram(std::uint32_t seed, bool reference)
     hv.startVm(vm, b.origin());
     hv.run(10000000);
     EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
+    expectLoopReachedDriver(m);
     return digestOf(m);
 }
 
@@ -1012,6 +1076,554 @@ TEST(ThreadedTierLockstep, ColdBlocksRetireThroughTheDriver)
     // so the one bail is the overflow trap leaving a block mid-run.
     EXPECT_EQ(fast.stats.threadedBails, 1u);
     expectDigestsEqual(fast, ref);
+}
+
+/**
+ * Run @p b's program from its origin on @p tier, bare (kernel mode,
+ * IPL 31, mapping off) or as the whole program of a VM, until it
+ * halts.  When @p data is non-empty it receives the guest-physical
+ * bytes from @p data_pa on.
+ */
+MachineDigest
+lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
+                std::span<Byte> data = {}, PhysAddr data_pa = 0)
+{
+    const auto image = b.finish();
+    MachineConfig mc;
+    mc.level = MicrocodeLevel::Modified;
+    if (virtualized)
+        mc.ramBytes = 16 * 1024 * 1024;
+    RealMachine m(mc);
+    m.cpu().setExecTier(tier);
+    if (virtualized) {
+        Hypervisor hv(m);
+        VirtualMachine &vm = hv.createVm(VmConfig{});
+        hv.loadVmImage(vm, b.origin(), image);
+        hv.startVm(vm, b.origin());
+        hv.run(10000000);
+        EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
+        if (!data.empty())
+            m.memory().readBlock(vm.vmPhysToReal(data_pa), data);
+        return digestOf(m);
+    }
+    m.loadImage(b.origin(), image);
+    m.cpu().setPc(b.origin());
+    m.cpu().psl().setIpl(31);
+    m.run(10000000);
+    EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+    if (!data.empty())
+        m.memory().readBlock(data_pa, data);
+    return digestOf(m);
+}
+
+/**
+ * Run @p build's program on the fast and threaded tiers and on the
+ * reference tier; all three digests must be equal.  Returns the
+ * threaded run's digest.
+ */
+template <typename Build>
+MachineDigest
+tiersMatchReference(Build build, bool virtualized)
+{
+    CodeBuilder ref_b = build();
+    const MachineDigest ref =
+        lockstepProgram(ref_b, virtualized, ExecTier::Reference);
+    CodeBuilder fast_b = build();
+    {
+        SCOPED_TRACE("fast tier");
+        expectDigestsEqual(
+            lockstepProgram(fast_b, virtualized, ExecTier::Fast), ref);
+    }
+    CodeBuilder threaded_b = build();
+    const MachineDigest threaded =
+        lockstepProgram(threaded_b, virtualized, ExecTier::Threaded);
+    SCOPED_TRACE("threaded tier");
+    expectDigestsEqual(threaded, ref);
+    return threaded;
+}
+
+constexpr VirtAddr kLoopData = 0x6000;
+
+/**
+ * The hot loops of the MiniVMS workloads (guest/minivms.cc), shape for
+ * shape: the Compute ALU loop, the Edit newline scan over a 120-byte
+ * line, and the Transaction record fill.
+ */
+CodeBuilder
+hotWorkloadLoops()
+{
+    CodeBuilder b(0x200);
+    Label compute = b.newLabel();
+    Label outer = b.newLabel();
+    Label scan = b.newLabel();
+    Label scan_done = b.newLabel();
+    Label fill = b.newLabel();
+    Label line = b.newLabel();
+    b.movl(Op::imm(400), Op::reg(R6));
+    b.movl(Op::lit(7), Op::reg(R0));
+    b.bind(compute);
+    b.mull2(Op::lit(13), Op::reg(R0));
+    b.addl2(Op::lit(11), Op::reg(R0));
+    b.divl2(Op::lit(3), Op::reg(R0));
+    b.ashl(Op::lit(2), Op::reg(R0), Op::reg(R1));
+    b.xorl2(Op::reg(R1), Op::reg(R0));
+    b.movl(Op::reg(R0), Op::abs(kLoopData));
+    b.sobgtr(Op::reg(R6), compute);
+
+    b.movl(Op::lit(20), Op::reg(R11));
+    b.bind(outer);
+    b.movl(Op::immLabel(line), Op::reg(R3));
+    b.movl(Op::imm(120), Op::reg(R8));
+    b.bind(scan);
+    b.cmpb(Op::autoInc(R3), Op::imm('\n'));
+    b.beql(scan_done);
+    b.sobgtr(Op::reg(R8), scan);
+    b.bind(scan_done);
+    b.bicl3(Op::imm(~7u), Op::reg(R11), Op::reg(R7));
+    b.ashl(Op::imm(9), Op::reg(R7), Op::reg(R7));
+    b.addl2(Op::imm(kLoopData), Op::reg(R7));
+    b.movl(Op::lit(16), Op::reg(R8));
+    b.bind(fill);
+    b.movl(Op::reg(R11), Op::autoInc(R7));
+    b.sobgtr(Op::reg(R8), fill);
+    b.sobgtr(Op::reg(R11), outer);
+    b.halt();
+    b.bind(line);
+    b.space(119, '.');
+    b.byte('\n');
+    return b;
+}
+
+TEST(ThreadedTierLockstep, HotWorkloadLoopsRetireNoGenericSteps)
+{
+    // Every instruction of the workload loops has a fused handler, so
+    // the driver never falls back to replaying a template through the
+    // execute switch - while the digests still match the reference.
+    for (const bool virtualized : {false, true}) {
+        SCOPED_TRACE(virtualized ? "virtualized" : "bare");
+        const MachineDigest fast =
+            tiersMatchReference(hotWorkloadLoops, virtualized);
+        std::int32_t r0 = 7;
+        for (int i = 0; i < 400; ++i) {
+            r0 = static_cast<std::int32_t>(static_cast<Longword>(r0) * 13u +
+                                           11u) /
+                 3;
+            r0 ^= static_cast<std::int32_t>(static_cast<Longword>(r0) << 2);
+        }
+        EXPECT_EQ(fast.regs[R0], static_cast<Longword>(r0));
+        EXPECT_GT(fast.stats.threadedInstructions,
+                  fast.stats.instructions * 9 / 10);
+        EXPECT_EQ(fast.stats.threadedGenericSteps, 0u);
+    }
+}
+
+/**
+ * MULL2 overflow, DIVL2 by zero and DIVL2 INT32_MIN / -1 in a hot
+ * loop, first with PSL<IV> clear (only the divide by zero traps; the
+ * loop counts the V results itself) and then with it set (all three
+ * trap).  The handler logs each trap's code and saved PSL.
+ */
+CodeBuilder
+arithTrapLoops()
+{
+    constexpr int kTrips = 12;
+    CodeBuilder b(0x200);
+    Label handler = b.newLabel();
+    b.movl(Op::imm(0x3000), Op::reg(SP));
+    b.movl(Op::immLabel(handler),
+           Op::abs(static_cast<Longword>(ScbVector::Arithmetic)));
+    b.movl(Op::imm(kLoopData), Op::reg(R10));
+    b.clrl(Op::reg(R4)); // the zero divisor
+    for (const bool iv : {false, true}) {
+        Label loop = b.newLabel();
+        Label no_mul_v = b.newLabel();
+        Label no_div_v = b.newLabel();
+        if (iv)
+            b.bispsw(Op::imm(Psl::kIv));
+        b.movl(Op::imm(kTrips), Op::reg(R6));
+        b.bind(loop);
+        b.movl(Op::imm(0x40000000), Op::reg(R1));
+        b.mull2(Op::lit(4), Op::reg(R1));
+        b.bvc(no_mul_v);
+        b.incl(Op::reg(R7));
+        b.bind(no_mul_v);
+        b.movl(Op::imm(0x80000000), Op::reg(R2));
+        b.divl2(Op::imm(0xFFFFFFFF), Op::reg(R2));
+        b.bvc(no_div_v);
+        b.incl(Op::reg(R8));
+        b.bind(no_div_v);
+        b.movl(Op::imm(100), Op::reg(R3));
+        b.divl2(Op::reg(R4), Op::reg(R3));
+        b.mull2(Op::reg(R6), Op::reg(R3));
+        b.divl2(Op::lit(7), Op::reg(R3));
+        b.addl2(Op::reg(R3), Op::reg(R5));
+        b.sobgtr(Op::reg(R6), loop);
+    }
+    b.halt();
+    b.align(4); // SCB entries steal the low bits for stack select
+    b.bind(handler);
+    b.movl(Op::autoInc(SP), Op::autoInc(R10)); // trap code
+    b.movl(Op::disp(4, SP), Op::autoInc(R10)); // saved PSL
+    b.incl(Op::reg(R9));
+    b.rei();
+    return b;
+}
+
+TEST(ThreadedTierLockstep, ArithmeticTrapsMatchReference)
+{
+    for (const bool virtualized : {false, true}) {
+        SCOPED_TRACE(virtualized ? "virtualized" : "bare");
+        const MachineDigest fast =
+            tiersMatchReference(arithTrapLoops, virtualized);
+        // 12 divide-by-zero traps with IV clear, then 12 each of
+        // overflow, INT32_MIN / -1 and divide by zero with IV set.
+        EXPECT_EQ(fast.regs[R9], 48u);
+        // The BVCs see V in both phases: with IV set, the handler's
+        // REI restores the PSL the trapping instruction left.
+        EXPECT_EQ(fast.regs[R7], 24u);
+        EXPECT_EQ(fast.regs[R8], 24u);
+        EXPECT_EQ(fast.regs[R1], 0u) << "MULL2 keeps the low longword";
+        EXPECT_EQ(fast.regs[R2], 0x80000000u)
+            << "INT32_MIN / -1 leaves the dividend";
+        Longword sum = 0;
+        for (Longword k = 1; k <= 12; ++k)
+            sum += 2 * (100 * k / 7);
+        EXPECT_EQ(fast.regs[R5], sum)
+            << "a divide by zero leaves the dividend";
+        EXPECT_GT(fast.stats.threadedInstructions, 0u);
+    }
+}
+
+/**
+ * CMPB (R3)+ scanning off the end of RAM: the read past the last byte
+ * raises a machine check, whose handler records R3 in R9 - it must
+ * still address the faulting byte - and points R3 back into RAM.
+ */
+CodeBuilder
+scanOffRamEnd()
+{
+    constexpr Longword kRamEnd = MachineConfig{}.ramBytes;
+    CodeBuilder b(0x200);
+    Label handler = b.newLabel();
+    Label scan = b.newLabel();
+    Label no_match = b.newLabel();
+    b.movl(Op::imm(0x3000), Op::reg(SP));
+    b.mtpr(Op::imm(0x2800), Ipr::ISP);
+    b.movl(Op::immLabel(handler),
+           Op::abs(static_cast<Longword>(ScbVector::MachineCheck)));
+    b.movl(Op::imm(kRamEnd - 600), Op::reg(R3));
+    b.movl(Op::imm(1000), Op::reg(R8));
+    b.bind(scan);
+    b.cmpb(Op::autoInc(R3), Op::lit(0));
+    b.bneq(no_match);
+    b.incl(Op::reg(R5));
+    b.bind(no_match);
+    b.sobgtr(Op::reg(R8), scan);
+    b.halt();
+    b.align(4);
+    b.bind(handler);
+    b.addl2(Op::lit(4), Op::reg(SP)); // pop the machine-check parameter
+    b.movl(Op::reg(R3), Op::reg(R9));
+    b.movl(Op::imm(kLoopData), Op::reg(R3));
+    b.incl(Op::reg(R10));
+    b.rei();
+    return b;
+}
+
+TEST(ThreadedTierLockstep, FaultingAutoIncReadLeavesRegisterBare)
+{
+    const MachineDigest fast = tiersMatchReference(scanOffRamEnd, false);
+    EXPECT_EQ(fast.regs[R10], 1u) << "exactly one machine check";
+    EXPECT_EQ(fast.regs[R9], MachineConfig{}.ramBytes)
+        << "R3 must not advance past a byte it failed to read";
+    EXPECT_EQ(fast.regs[R3], kLoopData + 400);
+    EXPECT_EQ(fast.regs[R5], 1000u) << "RAM reads as zero";
+    EXPECT_GT(fast.stats.threadedInstructions, 0u);
+}
+
+/**
+ * In a VM every first touch of a page takes a shadow-fill fault and
+ * restarts the instruction.  A MOVL R11, (R7)+ fill and a CMPB (R3)+
+ * scan each stream across fresh pages, so both fault mid-loop in the
+ * driver; an autoincrement committed before its access would skip a
+ * longword or a byte on every restart.
+ */
+CodeBuilder
+autoIncAcrossFreshPages()
+{
+    constexpr Longword kBytes = 4 * kPageSize;
+    CodeBuilder b(0x200);
+    Label fill = b.newLabel();
+    Label scan = b.newLabel();
+    Label no_match = b.newLabel();
+    Label data = b.newLabel();
+    b.movl(Op::imm(kLoopData), Op::reg(R7));
+    b.movl(Op::imm(kBytes / 4), Op::reg(R11));
+    b.bind(fill);
+    b.movl(Op::reg(R11), Op::autoInc(R7));
+    b.sobgtr(Op::reg(R11), fill);
+    b.movl(Op::immLabel(data), Op::reg(R3));
+    b.movl(Op::imm(kBytes), Op::reg(R8));
+    b.bind(scan);
+    b.cmpb(Op::autoInc(R3), Op::imm(0x5A));
+    b.bneq(no_match);
+    b.incl(Op::reg(R5));
+    b.bind(no_match);
+    b.sobgtr(Op::reg(R8), scan);
+    b.halt();
+    b.align(kPageSize);
+    b.bind(data);
+    for (Longword i = 0; i < kBytes; ++i)
+        b.byte(i % 37 == 0 ? 0x5A : static_cast<Byte>(i));
+    return b;
+}
+
+TEST(ThreadedTierLockstep, AutoIncAcrossFreshPagesVirtualized)
+{
+    const MachineDigest fast =
+        tiersMatchReference(autoIncAcrossFreshPages, true);
+    Longword matches = 0;
+    for (Longword i = 0; i < 4 * kPageSize; ++i)
+        matches += i % 37 == 0 || static_cast<Byte>(i) == 0x5A;
+    EXPECT_EQ(fast.regs[R5], matches);
+    EXPECT_EQ(fast.regs[R7], kLoopData + 4 * kPageSize);
+    EXPECT_GT(fast.stats.threadedInstructions, 0u);
+    EXPECT_EQ(fast.stats.threadedGenericSteps, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// MOVC3 page spans: the copy moves each run that lies within one page
+// on both sides through the host pointers at once, and everything else
+// a byte at a time through the full accessors.  Every tier must agree
+// with the reference's byte-by-byte walk, and both must agree with
+// memmove (or, for aliased frames, the architectural byte order).
+// ---------------------------------------------------------------------------
+
+/** First and one-past-last guest-physical byte the copies write. */
+constexpr PhysAddr kMovc3Lo = 0x6000;
+constexpr PhysAddr kMovc3Hi = 0x8800;
+constexpr Longword kMovc3SrcBytes = 3000;
+
+/** Byte @p i of the source pattern movc3Spans() carries in its image. */
+Byte
+movc3Pattern(Longword i)
+{
+    return static_cast<Byte>(i * 7 + (i >> 8) + 3);
+}
+
+/** (src, dst, len) of each data copy movc3Spans() makes, in order;
+ *  src offsets below kMovc3Lo are into the image's pattern. */
+struct Movc3Copy
+{
+    Longword src, dst, len;
+};
+constexpr Movc3Copy kMovc3Copies[] = {
+    // Crossing pages at different offsets on each side; in a VM the
+    // first touch of every page misses the TLB on one side or both.
+    {0x13, 0x61C0, 1500},           // fresh source, fresh destination
+    {0x6210, 0x7E0C, 1500},         // hot source, fresh destination
+    {1600, 0x6300, 1200},           // fresh source, hot destination
+    {0x6105, 0x6100, 700},          // overlapping, low to high
+    {0x7F00, 0x7F07, 700},          // overlapping, high to low
+};
+
+/**
+ * The kMovc3Copies, then a hot loop whose ADDL2 literal a two-byte
+ * MOVC3 rewrites (1 -> 5) after its first 50 passes: the copy must
+ * drop the loop's live blocks.
+ */
+CodeBuilder
+movc3Spans()
+{
+    CodeBuilder b(0x200);
+    Label pattern = b.newLabel();
+    Label outer = b.newLabel();
+    Label loop = b.newLabel();
+    Label new_code = b.newLabel();
+    for (const Movc3Copy &c : kMovc3Copies) {
+        b.movc3(Op::imm(c.len),
+                c.src < kMovc3Lo ? Op::absRef(pattern, c.src)
+                                 : Op::abs(c.src),
+                Op::abs(c.dst));
+    }
+    // R7: MOVC3 clobbers R0-R5.
+    b.clrl(Op::reg(R7));
+    b.movl(Op::lit(3), Op::reg(R11));
+    b.bind(outer);
+    b.movl(Op::imm(50), Op::reg(R6));
+    b.bind(loop);
+    b.addl2(Op::lit(1), Op::reg(R7));
+    b.sobgtr(Op::reg(R6), loop);
+    b.movc3(Op::lit(2), Op::absRef(new_code), Op::absRef(loop));
+    b.sobgtr(Op::reg(R11), outer);
+    b.halt();
+    b.bind(new_code);
+    b.byte(static_cast<Byte>(Opcode::ADDL2));
+    b.byte(5); // short literal #5
+    b.align(kPageSize);
+    b.bind(pattern);
+    for (Longword i = 0; i < kMovc3SrcBytes; ++i)
+        b.byte(movc3Pattern(i));
+    return b;
+}
+
+TEST(Movc3Lockstep, PageSpansMatchMemmove)
+{
+    // The expected bytes: memmove applied in order to the image, whose
+    // last kMovc3SrcBytes are the pattern.
+    std::vector<Byte> model(kMovc3Hi);
+    CodeBuilder layout = movc3Spans();
+    const auto image = layout.finish();
+    std::memcpy(model.data() + layout.origin(), image.data(), image.size());
+    const Longword pattern_base =
+        layout.origin() + static_cast<Longword>(image.size()) -
+        kMovc3SrcBytes;
+    for (const Movc3Copy &c : kMovc3Copies) {
+        const Longword src =
+            c.src < kMovc3Lo ? pattern_base + c.src : c.src;
+        std::memmove(model.data() + c.dst, model.data() + src, c.len);
+    }
+
+    for (const bool virtualized : {false, true}) {
+        SCOPED_TRACE(virtualized ? "virtualized" : "bare");
+        const MachineDigest fast =
+            tiersMatchReference(movc3Spans, virtualized);
+        EXPECT_EQ(fast.regs[R7], 50u + 2 * 50 * 5)
+            << "the copy over the live loop must take effect";
+        CodeBuilder b = movc3Spans();
+        std::vector<Byte> got(kMovc3Hi - kMovc3Lo);
+        lockstepProgram(b, virtualized, ExecTier::Threaded, got, kMovc3Lo);
+        EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                               model.begin() + kMovc3Lo))
+            << "MOVC3 must move bytes as memmove does";
+    }
+}
+
+/** System page @p vpn's virtual address. */
+constexpr VirtAddr
+sysPage(Longword vpn)
+{
+    return kSystemBase + vpn * kPageSize;
+}
+
+/** Frames the mapped MOVC3 program reads and writes. */
+constexpr PhysAddr kMappedLo = 40 * kPageSize;
+constexpr PhysAddr kMappedHi = 64 * kPageSize;
+
+/**
+ * (src, dst, len) of each copy in the mapped program.  System page 41
+ * maps frame 40, so the first two copies run between two views of one
+ * frame with the host order of the spans opposite to the virtual
+ * order; the last crosses page boundaries on both sides with a cold
+ * TLB.
+ */
+constexpr Movc3Copy kMappedCopies[] = {
+    {sysPage(41) + 10, sysPage(40) + 20, 200},  // low to high
+    {sysPage(40) + 250, sysPage(41) + 240, 200}, // high to low
+    {sysPage(50) + 0x1F0, sysPage(60) + 0x30, 900},
+};
+
+/** Physical address of system virtual address @p va in that map. */
+PhysAddr
+mappedPa(VirtAddr va)
+{
+    const Longword vpn = (va - kSystemBase) >> kPageShift;
+    return ((vpn == 41 ? 40 : vpn) << kPageShift) | (va & kPageOffsetMask);
+}
+
+/**
+ * Run kMappedCopies bare with memory management on (system space
+ * mapping the first 128 frames, page 41 aliasing frame 40) on @p tier;
+ * @p frames receives physical memory [kMappedLo, kMappedHi).
+ */
+MachineDigest
+movc3MappedBare(ExecTier tier, std::span<Byte> frames)
+{
+    constexpr PhysAddr kSpt = 0x20000;
+    RealMachine m;
+    m.cpu().setExecTier(tier);
+    for (Longword vpn = 0; vpn < 128; ++vpn) {
+        const Longword pfn = vpn == 41 ? 40 : vpn;
+        m.memory().write32(kSpt + 4 * vpn,
+                           Pte::make(true, Protection::KW, true, pfn).raw());
+    }
+    m.mmu().regs().sbr = kSpt;
+    m.mmu().regs().slr = 128;
+    m.mmu().regs().mapen = true;
+    for (PhysAddr pa = kMappedLo; pa < kMappedHi; ++pa)
+        m.memory().write8(pa, movc3Pattern(pa));
+
+    CodeBuilder b(sysPage(32));
+    for (const Movc3Copy &c : kMappedCopies)
+        b.movc3(Op::imm(c.len), Op::abs(c.src), Op::abs(c.dst));
+    b.halt();
+    const auto image = b.finish();
+    m.loadImage(32 * kPageSize, image);
+    m.cpu().setPc(b.origin());
+    m.cpu().psl().setIpl(31);
+    m.run(100);
+    EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+    m.memory().readBlock(kMappedLo, frames);
+    return digestOf(m);
+}
+
+TEST(Movc3Lockstep, AliasedFramesCopyInArchitecturalOrder)
+{
+    // The expected bytes: one byte at a time, low to high when the
+    // destination's virtual address is not above the source's.
+    std::vector<Byte> model(kMappedHi);
+    for (PhysAddr pa = kMappedLo; pa < kMappedHi; ++pa)
+        model[pa] = movc3Pattern(pa);
+    for (const Movc3Copy &c : kMappedCopies) {
+        for (Longword k = 0; k < c.len; ++k) {
+            const Longword i = c.dst <= c.src ? k : c.len - 1 - k;
+            model[mappedPa(c.dst + i)] = model[mappedPa(c.src + i)];
+        }
+    }
+
+    std::vector<Byte> ref_frames(kMappedHi - kMappedLo);
+    const MachineDigest ref =
+        movc3MappedBare(ExecTier::Reference, ref_frames);
+    EXPECT_TRUE(std::equal(ref_frames.begin(), ref_frames.end(),
+                           model.begin() + kMappedLo));
+    EXPECT_GT(ref.stats.tlbMisses, 0u);
+    for (const ExecTier tier : {ExecTier::Fast, ExecTier::Threaded}) {
+        SCOPED_TRACE(tier == ExecTier::Fast ? "fast tier" : "threaded tier");
+        std::vector<Byte> frames(kMappedHi - kMappedLo);
+        expectDigestsEqual(movc3MappedBare(tier, frames), ref);
+        EXPECT_EQ(frames, ref_frames);
+    }
+}
+
+/**
+ * MOVC3 into the disk's register window: every byte is an MMIO store,
+ * and BLOCK, COUNT and ADDR each keep the last byte written to them -
+ * the lowest, as the window lies above the source and the copy runs
+ * high to low.
+ */
+CodeBuilder
+movc3ToMmio()
+{
+    const PhysAddr csr = MachineConfig{}.diskCsrBase;
+    CodeBuilder b(0x200);
+    Label bytes = b.newLabel();
+    b.movc3(Op::lit(12), Op::absRef(bytes), Op::abs(csr + 4));
+    b.movl(Op::abs(csr + 4), Op::reg(R6));
+    b.movl(Op::abs(csr + 8), Op::reg(R7));
+    b.movl(Op::abs(csr + 12), Op::reg(R8));
+    b.halt();
+    b.bind(bytes);
+    for (Byte i = 1; i <= 12; ++i)
+        b.byte(i);
+    return b;
+}
+
+TEST(Movc3Lockstep, MmioDestinationBare)
+{
+    const MachineDigest fast = tiersMatchReference(movc3ToMmio, false);
+    EXPECT_EQ(fast.regs[R6], 1u);
+    EXPECT_EQ(fast.regs[R7], 5u);
+    EXPECT_EQ(fast.regs[R8], 9u);
 }
 
 TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
