@@ -493,23 +493,6 @@ class Cpu
     /** Push/pop on the working stack pointer in @p d (pre-commit). */
     void pushLong(Decoded &d, Longword value);
     Longword popLong(Decoded &d);
-    // Header-inline: the block executor calls this for every MOV-class
-    // and logical fused instruction, so an out-of-line call here is
-    // measurable at trace-tier throughput.
-    void
-    setCcLogical(Longword result, OpSize size)
-    {
-        Longword mask = 0xFFFFFFFFu, sign = 0x80000000u;
-        switch (size) {
-          case OpSize::B: mask = 0xFFu; sign = 0x80u; break;
-          case OpSize::W: mask = 0xFFFFu; sign = 0x8000u; break;
-          case OpSize::L:
-          case OpSize::Q: break; // per-half for quads
-        }
-        const Longword masked = result & mask;
-        psl_.setNzvc((masked & sign) != 0, masked == 0, false,
-                     psl_.c());
-    }
 
     void execChm(Decoded &d, AccessMode target);
     void execRei();

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "cpu/alu.h"
 #include "cpu/cpu.h"
 
 namespace vvax {
@@ -767,18 +768,13 @@ Cpu::execCase(Decoded &d, OpSize size)
 {
     // CASEx: the word displacement table follows the operands; the
     // fall-through point is just past the table.
-    const Longword mask = size == OpSize::B   ? 0xFFu
-                          : size == OpSize::W ? 0xFFFFu
-                                              : 0xFFFFFFFFu;
-    const Longword selector = d.operands[0].value & mask;
-    const Longword base = d.operands[1].value & mask;
-    const Longword limit = d.operands[2].value & mask;
+    const Longword limit = d.operands[2].value & sizeMask(size);
+    const CaseResult r =
+        caseL(d.operands[0].value, d.operands[1].value, limit, size);
     const VirtAddr table = d.nextPc;
-    const Longword tmp = (selector - base) & mask;
-
-    if (tmp <= limit) {
+    if (r.inTable()) {
         const Word disp =
-            mmu_.readV16(table + 2 * tmp, psl_.currentMode());
+            mmu_.readV16(table + 2 * r.index, psl_.currentMode());
         d.nextPc = table + static_cast<Longword>(
                                static_cast<std::int32_t>(
                                    static_cast<std::int16_t>(disp)));
@@ -787,7 +783,7 @@ Cpu::execCase(Decoded &d, OpSize size)
     }
     commitRegs(d);
     regs_[PC] = d.nextPc;
-    psl_.setNzvc(false, tmp == limit, false, tmp < limit);
+    setCc(psl_, r.cc);
 }
 
 void

@@ -7,7 +7,6 @@
 
 #include "cpu/alu.h"
 #include "cpu/cpu.h"
-#include "cpu/overflow.h"
 
 namespace vvax {
 
@@ -23,13 +22,25 @@ Cpu::execute(Decoded &d)
     auto branchTo = [&](int operand_index) {
         d.nextPc = d.operands[operand_index].value;
     };
-    // MUL/DIV/ASH: store the result, commit, then set the codes and
+    // Every integer result: store it, commit, then set the codes and
     // raise any trap (alu.h holds the semantics).
     auto arith = [&](int dst, const AluResult &r) {
         operandWrite(d, dst, r.value);
         commit();
         setCc(psl_, r.cc());
         raiseArithTraps(psl_, r);
+    };
+    // Moves and clears at the operand's own size, and pushes: store,
+    // commit, set the codes (none of these traps).
+    auto store = [&](int dst, Longword v, Nzvc cc) {
+        operandWrite(d, dst, v);
+        commit();
+        setCc(psl_, cc);
+    };
+    auto push = [&](Longword v) {
+        pushLong(d, v);
+        commit();
+        setCc(psl_, logicalCc(v, psl_.c()));
     };
 
     switch (op) {
@@ -99,172 +110,82 @@ Cpu::execute(Decoded &d)
       case Opcode::MOVW:
       case Opcode::MOVL: {
         const Longword v = operandRead(d, 0);
-        operandWrite(d, 1, v);
-        commit();
-        setCcLogical(v, d.operands[0].size);
+        store(1, v, logicalCc(v, psl_.c(), d.operands[0].size));
         return;
       }
       case Opcode::MOVZBL:
-      case Opcode::MOVZWL: {
-        const Longword v = operandRead(d, 0); // already zero-extended
-        operandWrite(d, 1, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::MOVZWL: // the read is already zero-extended
+        arith(1, movL(operandRead(d, 0), psl_.c()));
         return;
-      }
-      case Opcode::CVTBL: {
-        Longword v = operandRead(d, 0) & 0xFF;
-        if (v & 0x80)
-            v |= 0xFFFFFF00u;
-        operandWrite(d, 1, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::CVTBL:
+        arith(1, cvtL(operandRead(d, 0), OpSize::B));
         return;
-      }
-      case Opcode::CVTWL: {
-        Longword v = operandRead(d, 0) & 0xFFFF;
-        if (v & 0x8000)
-            v |= 0xFFFF0000u;
-        operandWrite(d, 1, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::CVTWL:
+        arith(1, cvtL(operandRead(d, 0), OpSize::W));
         return;
-      }
-      case Opcode::ROTL: {
-        // Left rotate by count mod 32; negative counts rotate right
-        // (two's complement makes the masked count correct directly).
-        const int n = static_cast<int>(operandRead(d, 0)) & 31;
-        const Longword src = operandRead(d, 1);
-        const Longword r =
-            n == 0 ? src : ((src << n) | (src >> (32 - n)));
-        operandWrite(d, 2, r);
-        commit();
-        setCcLogical(r, OpSize::L);
+      case Opcode::ROTL:
+        arith(2, rotL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
         return;
-      }
-      case Opcode::CLRQ: {
-        operandWrite(d, 0, 0, 0);
-        commit();
-        psl_.setNzvc(false, true, false, psl_.c());
-        return;
-      }
       case Opcode::MOVQ: {
         const Longword lo = d.operands[0].value;
         const Longword hi = d.operands[0].value2;
         operandWrite(d, 1, lo, hi);
         commit();
-        psl_.setNzvc((hi & 0x80000000u) != 0, lo == 0 && hi == 0,
-                     false, psl_.c());
+        setCc(psl_, quadCc(static_cast<Quadword>(hi) << 32 | lo,
+                           psl_.c()));
         return;
       }
       case Opcode::EMUL: {
-        const auto mulr =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(
-                operandRead(d, 0)));
-        const auto muld =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(
-                operandRead(d, 1)));
-        const auto add =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(
-                operandRead(d, 2)));
-        const std::int64_t prod = mulr * muld + add;
-        const auto lo = static_cast<Longword>(prod & 0xFFFFFFFF);
-        const auto hi = static_cast<Longword>(
-            (prod >> 32) & 0xFFFFFFFF);
-        operandWrite(d, 3, lo, hi);
+        const Quadword prod = emulL(operandRead(d, 0), operandRead(d, 1),
+                                    operandRead(d, 2));
+        operandWrite(d, 3, static_cast<Longword>(prod),
+                     static_cast<Longword>(prod >> 32));
         commit();
-        psl_.setNzvc(prod < 0, prod == 0, false, false);
+        setCc(psl_, quadCc(prod, false));
         return;
       }
       case Opcode::EDIV: {
-        const auto divr =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(
-                operandRead(d, 0)));
-        const std::int64_t divd = static_cast<std::int64_t>(
-            (static_cast<std::uint64_t>(d.operands[1].value2) << 32) |
-            d.operands[1].value);
-        if (divr == 0) {
-            operandWrite(d, 2, d.operands[1].value);
-            operandWrite(d, 3, 0);
-            commit();
-            psl_.setNzvc(false, false, true, false);
-            throw GuestFault::withParam(
-                ScbVector::Arithmetic,
-                arithcode::kIntegerDivideByZero, /*abort=*/false);
-        }
-        const std::int64_t q = divd / divr;
-        const std::int64_t rem = divd % divr;
-        const bool overflow =
-            q > INT32_MAX || q < INT32_MIN;
-        operandWrite(d, 2,
-                     static_cast<Longword>(
-                         overflow ? d.operands[1].value : q));
-        operandWrite(d, 3,
-                     static_cast<Longword>(overflow ? 0 : rem));
+        const EdivResult r = edivL(
+            operandRead(d, 0),
+            static_cast<Quadword>(d.operands[1].value2) << 32 |
+                d.operands[1].value);
+        operandWrite(d, 2, r.quo.value);
+        operandWrite(d, 3, r.rem);
         commit();
-        psl_.setNzvc(!overflow && q < 0, !overflow && q == 0,
-                     overflow, false);
-        raiseOverflowTrap(psl_);
+        setCc(psl_, r.quo.cc());
+        raiseArithTraps(psl_, r.quo);
         return;
       }
       case Opcode::MOVAB:
-      case Opcode::MOVAL: {
-        const Longword v = d.operands[0].addr;
-        operandWrite(d, 1, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::MOVAL:
+        arith(1, movL(d.operands[0].addr, psl_.c()));
         return;
-      }
-      case Opcode::PUSHAL: {
-        const Longword v = d.operands[0].addr;
-        pushLong(d, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::PUSHAL:
+        push(d.operands[0].addr);
         return;
-      }
-      case Opcode::PUSHL: {
-        const Longword v = operandRead(d, 0);
-        pushLong(d, v);
-        commit();
-        setCcLogical(v, OpSize::L);
+      case Opcode::PUSHL:
+        push(operandRead(d, 0));
         return;
-      }
       case Opcode::CLRB:
       case Opcode::CLRW:
-      case Opcode::CLRL: {
-        operandWrite(d, 0, 0);
-        commit();
-        psl_.setNzvc(false, true, false, psl_.c());
+      case Opcode::CLRL:
+      case Opcode::CLRQ: // both halves: value2 defaults to 0
+        store(0, 0, logicalCc(0, psl_.c()));
         return;
-      }
-      case Opcode::MNEGL: {
-        const Longword s = operandRead(d, 0);
-        const Longword r = 0u - s;
-        operandWrite(d, 1, r);
-        commit();
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0, s == 0x80000000u,
-                     s != 0);
-        raiseOverflowTrap(psl_);
+      case Opcode::MNEGL:
+        arith(1, mnegL(operandRead(d, 0)));
         return;
-      }
-      case Opcode::MCOML: {
-        const Longword r = ~operandRead(d, 0);
-        operandWrite(d, 1, r);
-        commit();
-        setCcLogical(r, OpSize::L);
+      case Opcode::MCOML:
+        arith(1, mcomL(operandRead(d, 0), psl_.c()));
         return;
-      }
 
       // ----- Tests and compares -----------------------------------------
       case Opcode::TSTB:
       case Opcode::TSTW:
-      case Opcode::TSTL: {
-        const Longword v = operandRead(d, 0);
+      case Opcode::TSTL:
         commit();
-        setCcLogical(v, d.operands[0].size);
-        psl_.setFlag(Psl::kC, false);
+        setCc(psl_, testCc(operandRead(d, 0), d.operands[0].size));
         return;
-      }
       case Opcode::CMPB:
       case Opcode::CMPW:
       case Opcode::CMPL: {
@@ -277,69 +198,27 @@ Cpu::execute(Decoded &d)
 
       // ----- Integer arithmetic ------------------------------------------
       case Opcode::ADDL2:
-      case Opcode::ADDL3: {
-        const Longword a = operandRead(d, 0);
-        const Longword b = operandRead(d, 1);
-        const Longword sum = a + b;
-        operandWrite(d, op == Opcode::ADDL2 ? 1 : 2, sum);
-        commit();
-        psl_.setNzvc((sum & 0x80000000u) != 0, sum == 0,
-                     addOverflows(a, b, sum), sum < a);
-        raiseOverflowTrap(psl_);
+      case Opcode::ADDL3:
+        arith(op == Opcode::ADDL2 ? 1 : 2,
+              addL(operandRead(d, 0), operandRead(d, 1)));
         return;
-      }
       case Opcode::SUBL2:
-      case Opcode::SUBL3: {
-        const Longword sub = operandRead(d, 0);
-        const Longword min = operandRead(d, 1);
-        const Longword dif = min - sub;
-        operandWrite(d, op == Opcode::SUBL2 ? 1 : 2, dif);
-        commit();
-        psl_.setNzvc((dif & 0x80000000u) != 0, dif == 0,
-                     subOverflows(min, sub, dif), min < sub);
-        raiseOverflowTrap(psl_);
+      case Opcode::SUBL3:
+        arith(op == Opcode::SUBL2 ? 1 : 2,
+              subL(operandRead(d, 0), operandRead(d, 1)));
         return;
-      }
       case Opcode::INCL:
-      case Opcode::DECL: {
-        const Longword a = operandRead(d, 0);
-        const Longword delta = op == Opcode::INCL ? 1u : ~0u;
-        const Longword r = a + delta;
-        operandWrite(d, 0, r);
-        commit();
-        const bool v = op == Opcode::INCL ? addOverflows(a, 1, r)
-                                          : subOverflows(a, 1, r);
-        const bool c = op == Opcode::INCL ? r < a : a < 1;
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, c);
-        raiseOverflowTrap(psl_);
+        arith(0, addL(1, operandRead(d, 0)));
         return;
-      }
+      case Opcode::DECL:
+        arith(0, subL(1, operandRead(d, 0)));
+        return;
       case Opcode::ADWC:
-      case Opcode::SBWC: {
-        const Longword a = operandRead(d, 0);
-        const Longword b = operandRead(d, 1);
-        const Longword cin = psl_.c() ? 1 : 0;
-        Longword r;
-        bool v, c;
-        if (op == Opcode::ADWC) {
-            const Quadword wide = static_cast<Quadword>(a) + b + cin;
-            r = static_cast<Longword>(wide);
-            c = (wide >> 32) != 0;
-            v = addOverflows(b, a + cin, r) || addOverflows(a, cin, a + cin);
-        } else {
-            const Quadword wide = static_cast<Quadword>(b) -
-                                  static_cast<Quadword>(a) - cin;
-            r = static_cast<Longword>(wide);
-            c = static_cast<Quadword>(b) <
-                static_cast<Quadword>(a) + cin;
-            v = subOverflows(b, a, r) && cin == 0; // approximation
-        }
-        operandWrite(d, 1, r);
-        commit();
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0, v, c);
-        raiseOverflowTrap(psl_);
+        arith(1, adwcL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
         return;
-      }
+      case Opcode::SBWC:
+        arith(1, sbwcL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
+        return;
       case Opcode::MULL2:
       case Opcode::MULL3:
         arith(op == Opcode::MULL2 ? 1 : 2,
@@ -356,29 +235,20 @@ Cpu::execute(Decoded &d)
 
       // ----- Logical -------------------------------------------------------
       case Opcode::BISL2:
-      case Opcode::BISL3: {
-        const Longword r = operandRead(d, 0) | operandRead(d, 1);
-        operandWrite(d, op == Opcode::BISL2 ? 1 : 2, r);
-        commit();
-        setCcLogical(r, OpSize::L);
+      case Opcode::BISL3:
+        arith(op == Opcode::BISL2 ? 1 : 2,
+              bisL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
         return;
-      }
       case Opcode::BICL2:
-      case Opcode::BICL3: {
-        const Longword r = ~operandRead(d, 0) & operandRead(d, 1);
-        operandWrite(d, op == Opcode::BICL2 ? 1 : 2, r);
-        commit();
-        setCcLogical(r, OpSize::L);
+      case Opcode::BICL3:
+        arith(op == Opcode::BICL2 ? 1 : 2,
+              bicL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
         return;
-      }
       case Opcode::XORL2:
-      case Opcode::XORL3: {
-        const Longword r = operandRead(d, 0) ^ operandRead(d, 1);
-        operandWrite(d, op == Opcode::XORL2 ? 1 : 2, r);
-        commit();
-        setCcLogical(r, OpSize::L);
+      case Opcode::XORL3:
+        arith(op == Opcode::XORL2 ? 1 : 2,
+              xorL(operandRead(d, 0), operandRead(d, 1), psl_.c()));
         return;
-      }
       case Opcode::BISPSW: {
         const Longword mask = operandRead(d, 0);
         if (mask & ~Psl::kPswMask)
@@ -495,32 +365,21 @@ Cpu::execute(Decoded &d)
       // ----- Loop instructions -----------------------------------------------
       case Opcode::AOBLSS:
       case Opcode::AOBLEQ: {
-        const Longword limit = operandRead(d, 0);
-        const Longword index = operandRead(d, 1) + 1;
-        operandWrite(d, 1, index);
-        const auto si = static_cast<std::int32_t>(index);
-        const auto sl = static_cast<std::int32_t>(limit);
-        const bool taken = op == Opcode::AOBLSS ? si < sl : si <= sl;
-        if (taken)
+        // The branch compares the new index with the limit, signed.
+        const AluResult r = aobL(operandRead(d, 1), psl_.c());
+        const Nzvc cmp = compareCc(r.value, operandRead(d, 0), OpSize::L);
+        if (cmp.n || (op == Opcode::AOBLEQ && cmp.z))
             branchTo(2);
-        commit();
-        psl_.setNzvc(si < 0, si == 0,
-                     addOverflows(index - 1, 1, index), psl_.c());
-        raiseOverflowTrap(psl_);
+        arith(1, r);
         return;
       }
       case Opcode::SOBGEQ:
       case Opcode::SOBGTR: {
-        const Longword index = operandRead(d, 0) - 1;
-        operandWrite(d, 0, index);
-        const auto si = static_cast<std::int32_t>(index);
-        const bool taken = op == Opcode::SOBGEQ ? si >= 0 : si > 0;
-        if (taken)
+        const AluResult r = sobL(operandRead(d, 0), psl_.c());
+        const Nzvc cc = r.cc();
+        if (!cc.n && (op == Opcode::SOBGEQ || !cc.z))
             branchTo(1);
-        commit();
-        psl_.setNzvc(si < 0, si == 0,
-                     subOverflows(index + 1, 1, index), psl_.c());
-        raiseOverflowTrap(psl_);
+        arith(0, r);
         return;
       }
 

@@ -37,9 +37,44 @@
 
 #include "cpu/alu.h"
 #include "cpu/cpu.h"
-#include "cpu/overflow.h"
 
 namespace vvax {
+
+namespace {
+
+/*
+ * Retire an integer result into register @p dst: the result commits
+ * with the PC before any trap, as in the execute switch.  Functions,
+ * not macro text: GCC keeps a named AluResult inside the driver in a
+ * stack slot (the computed gotos defeat its scalarization), but not a
+ * by-value parameter of an inlined call.
+ */
+inline void
+retireAlu(Longword *regs, Psl &psl, int dst, VirtAddr next_pc, AluResult r)
+{
+    regs[dst] = r.value;
+    regs[PC] = next_pc;
+    setCc(psl, r.cc());
+    raiseArithTraps(psl, r);
+}
+
+/* SOBGTR / SOBGEQ (@p geq): the decremented index @p r, branching to
+ * @p target while it stays above (or at) zero.  Returns whether the
+ * branch was taken. */
+inline bool
+retireSob(Longword *regs, Psl &psl, int reg, bool geq, VirtAddr target,
+          VirtAddr fall, AluResult r)
+{
+    regs[reg] = r.value;
+    const auto si = static_cast<std::int32_t>(r.value);
+    const bool taken = si > 0 || (geq && si == 0);
+    regs[PC] = taken ? target : fall;
+    setCc(psl, r.cc());
+    raiseArithTraps(psl, r);
+    return taken;
+}
+
+} // namespace
 
 /*
  * Per-instruction commit.  With ICCS<RUN> clear, advanceTimer only
@@ -129,49 +164,6 @@ namespace vvax {
     VVAX_EPI_NOMEM();                                                 \
   }
 
-/* Dyadic ALU families, source pre-resolved as a register or an
- * immediate. */
-#define VVAX_ADD(label, srcexpr)                                      \
-  label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
-    const Longword a = (srcexpr);                                     \
-    const Longword b = regs_[s->b];                                   \
-    const Longword sum = a + b;                                       \
-    regs_[s->b] = sum;                                                \
-    regs_[PC] = instr_pc + s->len;                                    \
-    psl_.setNzvc((sum & 0x80000000u) != 0, sum == 0,                  \
-                 addOverflows(a, b, sum), sum < a);                   \
-    raiseOverflowTrap(psl_);                                          \
-    VVAX_EPI_NOMEM();                                                 \
-  }
-
-#define VVAX_SUB(label, srcexpr)                                      \
-  label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
-    const Longword sub = (srcexpr);                                   \
-    const Longword min = regs_[s->b];                                 \
-    const Longword dif = min - sub;                                   \
-    regs_[s->b] = dif;                                                \
-    regs_[PC] = instr_pc + s->len;                                    \
-    psl_.setNzvc((dif & 0x80000000u) != 0, dif == 0,                  \
-                 subOverflows(min, sub, dif), min < sub);             \
-    raiseOverflowTrap(psl_);                                          \
-    VVAX_EPI_NOMEM();                                                 \
-  }
-
-#define VVAX_LOGI(label, rexpr)                                       \
-  label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
-    const Longword r = (rexpr);                                       \
-    regs_[s->b] = r;                                                  \
-    regs_[PC] = instr_pc + s->len;                                    \
-    setCcLogical(r, OpSize::L);                                       \
-    VVAX_EPI_NOMEM();                                                 \
-  }
-
 #define VVAX_CMP(label, xexpr, yexpr)                                 \
   label: {                                                            \
     if (mapped)                                                       \
@@ -183,35 +175,24 @@ namespace vvax {
     VVAX_EPI_NOMEM();                                                 \
   }
 
-/* MUL/DIV/ASH with a register destination (b): the result commits
- * with the PC before any trap, as in the execute switch. */
+/* An integer op with a register destination (b), its source
+ * pre-resolved as a register or an immediate. */
 #define VVAX_ARITH(label, resultexpr)                                 \
   label: {                                                            \
     if (mapped)                                                       \
         stats_.tlbHits += s->fetchesPre;                              \
-    const AluResult r = (resultexpr);                                 \
-    regs_[s->b] = r.value;                                            \
-    regs_[PC] = instr_pc + s->len;                                    \
-    setCc(psl_, r.cc());                                              \
-    raiseArithTraps(psl_, r);                                         \
+    retireAlu(regs_, psl_, s->b, instr_pc + s->len, (resultexpr));    \
     VVAX_EPI_NOMEM();                                                 \
   }
 
-#define VVAX_SOB(label, takenexpr)                                    \
+#define VVAX_SOB(label, geq)                                          \
   label: {                                                            \
     if (mapped)                                                       \
         stats_.tlbHits += s->fetchesPre;                              \
-    const Longword orig = regs_[s->a];                                \
-    const Longword index = orig - 1;                                  \
-    regs_[s->a] = index;                                              \
-    const auto si = static_cast<std::int32_t>(index);                 \
-    const bool taken = (takenexpr);                                   \
-    regs_[PC] = taken ? static_cast<VirtAddr>(s->imm)                 \
-                      : instr_pc + s->len;                            \
-    br_taken = taken;                                                 \
-    psl_.setNzvc(si < 0, si == 0, subOverflows(orig, 1, index),       \
-                 psl_.c());                                           \
-    raiseOverflowTrap(psl_);                                          \
+    br_taken = retireSob(regs_, psl_, s->a, (geq),                    \
+                         static_cast<VirtAddr>(s->imm),               \
+                         instr_pc + s->len,                           \
+                         sobL(regs_[s->a], psl_.c()));                \
     VVAX_EPI_NOMEM();                                                 \
   }
 
@@ -237,7 +218,7 @@ namespace vvax {
         stats_.tlbHits += s->fetchesPost;                             \
     regs_[s->a] = v;                                                  \
     regs_[PC] = instr_pc + s->len;                                    \
-    setCcLogical(v, OpSize::L);                                       \
+    setCc(psl_, logicalCc(v, psl_.c()));                              \
     VVAX_EPI_TOUCH();                                                 \
   }
 
@@ -250,7 +231,7 @@ namespace vvax {
     const Longword v = (valexpr);                                     \
     mmu_.writeV32(addr, v, mode);                                     \
     regs_[PC] = instr_pc + s->len;                                    \
-    setCcLogical(v, OpSize::L);                                       \
+    setCc(psl_, logicalCc(v, psl_.c()));                              \
     VVAX_EPI_WRITE();                                                 \
   }
 
@@ -389,24 +370,8 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         VVAX_DISPATCH();
     }
 
-    L_MovRR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
-        const Longword v = regs_[s->a];
-        regs_[s->b] = v;
-        regs_[PC] = instr_pc + s->len;
-        setCcLogical(v, OpSize::L);
-        VVAX_EPI_NOMEM();
-    }
-    L_MovIR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
-        const Longword v = s->imm;
-        regs_[s->b] = v;
-        regs_[PC] = instr_pc + s->len;
-        setCcLogical(v, OpSize::L);
-        VVAX_EPI_NOMEM();
-    }
+    VVAX_ARITH(L_MovRR, movL(regs_[s->a], psl_.c()))
+    VVAX_ARITH(L_MovIR, movL(s->imm, psl_.c()))
 
     VVAX_MOVMR(L_MovMRreg, regs_[s->b] + s->imm)
     VVAX_MOVMR(L_MovMRabs, static_cast<VirtAddr>(s->imm))
@@ -426,68 +391,39 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         mmu_.writeV32(addr, v, mode);
         regs_[s->b] = addr + 4;
         regs_[PC] = instr_pc + s->len;
-        setCcLogical(v, OpSize::L);
+        setCc(psl_, logicalCc(v, psl_.c()));
         VVAX_EPI_WRITE();
     }
 
-    L_ClrR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
-        regs_[s->b] = 0;
-        regs_[PC] = instr_pc + s->len;
-        psl_.setNzvc(false, true, false, psl_.c());
-        VVAX_EPI_NOMEM();
-    }
+    VVAX_ARITH(L_ClrR, movL(0, psl_.c()))
+
     L_TstR: {
         if (mapped)
             stats_.tlbHits += s->fetchesPre;
         const Longword v = regs_[s->a];
         regs_[PC] = instr_pc + s->len;
-        setCcLogical(v, OpSize::L);
-        psl_.setFlag(Psl::kC, false);
-        VVAX_EPI_NOMEM();
-    }
-    L_IncR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
-        const Longword a = regs_[s->b];
-        const Longword r = a + 1;
-        regs_[s->b] = r;
-        regs_[PC] = instr_pc + s->len;
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0,
-                     addOverflows(a, 1, r), r < a);
-        raiseOverflowTrap(psl_);
-        VVAX_EPI_NOMEM();
-    }
-    L_DecR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
-        const Longword a = regs_[s->b];
-        const Longword r = a - 1;
-        regs_[s->b] = r;
-        regs_[PC] = instr_pc + s->len;
-        psl_.setNzvc((r & 0x80000000u) != 0, r == 0,
-                     subOverflows(a, 1, r), a < 1);
-        raiseOverflowTrap(psl_);
+        setCc(psl_, testCc(v, OpSize::L));
         VVAX_EPI_NOMEM();
     }
 
-    VVAX_ADD(L_AddRR, regs_[s->a])
-    VVAX_ADD(L_AddIR, s->imm)
-    VVAX_SUB(L_SubRR, regs_[s->a])
-    VVAX_SUB(L_SubIR, s->imm)
-    VVAX_LOGI(L_BisRR, regs_[s->a] | regs_[s->b])
-    VVAX_LOGI(L_BisIR, s->imm | regs_[s->b])
-    VVAX_LOGI(L_BicRR, ~regs_[s->a] & regs_[s->b])
-    VVAX_LOGI(L_BicIR, ~s->imm & regs_[s->b])
-    VVAX_LOGI(L_XorRR, regs_[s->a] ^ regs_[s->b])
-    VVAX_LOGI(L_XorIR, s->imm ^ regs_[s->b])
+    VVAX_ARITH(L_IncR, addL(1, regs_[s->b]))
+    VVAX_ARITH(L_DecR, subL(1, regs_[s->b]))
+    VVAX_ARITH(L_AddRR, addL(regs_[s->a], regs_[s->b]))
+    VVAX_ARITH(L_AddIR, addL(s->imm, regs_[s->b]))
+    VVAX_ARITH(L_SubRR, subL(regs_[s->a], regs_[s->b]))
+    VVAX_ARITH(L_SubIR, subL(s->imm, regs_[s->b]))
+    VVAX_ARITH(L_BisRR, bisL(regs_[s->a], regs_[s->b], psl_.c()))
+    VVAX_ARITH(L_BisIR, bisL(s->imm, regs_[s->b], psl_.c()))
+    VVAX_ARITH(L_BicRR, bicL(regs_[s->a], regs_[s->b], psl_.c()))
+    VVAX_ARITH(L_BicIR, bicL(s->imm, regs_[s->b], psl_.c()))
+    VVAX_ARITH(L_XorRR, xorL(regs_[s->a], regs_[s->b], psl_.c()))
+    VVAX_ARITH(L_XorIR, xorL(s->imm, regs_[s->b], psl_.c()))
     VVAX_ARITH(L_MulRR, mulL(regs_[s->a], regs_[s->b]))
     VVAX_ARITH(L_MulIR, mulL(s->imm, regs_[s->b]))
     VVAX_ARITH(L_DivRR, divL(regs_[s->a], regs_[s->b]))
     VVAX_ARITH(L_DivIR, divL(s->imm, regs_[s->b]))
     VVAX_ARITH(L_AshIR, ashL(s->imm, regs_[s->a]))
-    VVAX_LOGI(L_Bic3IR, ~s->imm & regs_[s->a])
+    VVAX_ARITH(L_Bic3IR, bicL(s->imm, regs_[s->a], psl_.c()))
     VVAX_CMP(L_CmpRR, regs_[s->a], regs_[s->b])
     VVAX_CMP(L_CmpIR, s->imm, regs_[s->b])
     VVAX_CMP(L_CmpRI, regs_[s->a], s->imm)
@@ -526,8 +462,8 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     VVAX_CONDBR(L_Bcc, !psl_.c())
     VVAX_CONDBR(L_Bcs, psl_.c())
 
-    VVAX_SOB(L_SobGeq, si >= 0)
-    VVAX_SOB(L_SobGtr, si > 0)
+    VVAX_SOB(L_SobGeq, true)
+    VVAX_SOB(L_SobGtr, false)
     VVAX_BLB(L_Blbc, !bit)
     VVAX_BLB(L_Blbs, bit)
 

@@ -255,6 +255,18 @@ TEST(FailureInjection, NoGuestProgramRaisesHostException)
         b.halt();
         hostiles.push_back(std::move(b));
     }
+    {
+        // EDIV of INT64_MIN by -1: the one quotient a host int64
+        // division traps on (SIGFPE), raised by an unprivileged
+        // instruction.
+        CodeBuilder b(0x200);
+        b.clrl(Op::reg(R2));
+        b.movl(Op::imm(0x80000000), Op::reg(R3));
+        b.emit(Opcode::EDIV, {Op::imm(0xFFFFFFFF), Op::reg(R2),
+                              Op::reg(R6), Op::reg(R7)});
+        b.halt();
+        hostiles.push_back(std::move(b));
+    }
 
     for (std::size_t i = 0; i < hostiles.size(); ++i) {
         MachineConfig mc;
