@@ -167,7 +167,7 @@ branchLoopPair(const char *name, ExecTier tier_a, bool linked_a,
         [&] { return rerun(*mb); }, floor);
 }
 
-/** Four endless spin-loop VMs on @p workers pool threads. */
+/** Four endless spin-loop VMs on @p workers worker threads. */
 std::unique_ptr<HypervisorFleet>
 spinFleet(int workers)
 {

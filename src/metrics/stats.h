@@ -92,8 +92,8 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
  *   faultsInjected ..   - fault injection and recovery, by class
  *   vmRestarts            (fault/fault_plan.h); injection sites key on
  *                         architectural ordinals, so these are Arch.
- *                         vmRestarts counts VmSupervisor snapshot
- *                         restores
+ *                         vmRestarts counts VmSupervisor restores of
+ *                         the snapshot taken at watch()
  *   block* .. threaded* - superblocks translated / entered / retired
  *                         in / dropped; trace-link edges formed /
  *                         crossed / cut / mispredicted; blocks bound to

@@ -67,7 +67,7 @@ class AsyncDiskEngine
      * Bounded wait: true when the job finished within @p timeout,
      * false when it is still in flight.  Shutdown paths (haltVm,
      * hypervisor destruction) use this instead of wait() so a wedged
-     * or deliberately stalled engine cannot wedge the round barrier —
+     * or deliberately stalled engine cannot wedge a fleet worker —
      * the timed-out batch stays pending and its staging stays alive
      * until the engine is joined.
      */

@@ -1,18 +1,18 @@
 /**
  * @file
- * HypervisorFleet implementation: member construction and the
- * round-dispatch worker pool (threading model in fleet.h and
- * docs/ARCHITECTURE.md §7).
+ * HypervisorFleet implementation: member construction and the drain
+ * loop that runs members on the workers (threading model in fleet.h
+ * and docs/ARCHITECTURE.md §7).
  */
 
 #include "vmm/fleet.h"
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
-
-#include "vmm/vm_monitor.h"
 
 namespace vvax {
 
@@ -202,7 +202,7 @@ HypervisorFleet::runSlice(Member &m)
     if (config_.fleetSupervision.enabled && !m.killed) {
         // Crash-only supervision path (§6d): health classification
         // and microreboot recovery, on the worker that owns the
-        // member this round, keyed only on the member's own state.
+        // member, keyed only on the member's own state.
         checkHealth(m, used);
         if (m.budgetLeft == 0)
             m.done = true;
@@ -226,8 +226,8 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
 {
     const FleetSupervisionConfig &sup = config_.fleetSupervision;
     // Per-slice deltas of the member's own architectural counters are
-    // the state machine's only inputs (plus the round count implicit
-    // in being called once per round), so every classification below
+    // the state machine's only inputs (plus the slice count implicit
+    // in being called once per slice), so every classification below
     // is a pure function of the member's own history - identical on
     // every worker count.
     const VmStats now = m.hv->totalStats();
@@ -242,9 +242,9 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
         m.slicesDegraded++;
 
     if (m.health == MemberHealth::Restarting) {
-        // Exponential backoff, counted in rounds: the member idles
-        // (halted, run() is a no-op) while siblings keep running, and
-        // the barrier never waits on it.
+        // Exponential backoff, counted in the member's own slices:
+        // the member idles (halted, run() is a no-op) until the
+        // re-fork, and no sibling ever waits on it.
         if (--m.backoffLeft <= 0)
             microreboot(m);
         return;
@@ -252,7 +252,7 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
 
     if (memberLive(m)) {
         // Heartbeat backstop: a live member that retires nothing for
-        // heartbeatSlices consecutive rounds is wedged in a way the
+        // heartbeatSlices consecutive slices is wedged in a way the
         // guest-level watchdog cannot see; halt it into the normal
         // crash path below.
         if (retired == 0 && m.budgetLeft > 0) {
@@ -290,7 +290,7 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
     // reason ends the member; a restartable crash arms a microreboot
     // - or quarantines the slot once its error budget is spent (or it
     // was started behind the fleet's back and has no image).
-    if (!VmSupervisor::restartable(m.hv->vm(0).haltReason)) {
+    if (!restartable(m.hv->vm(0).haltReason)) {
         m.done = true;
         return;
     }
@@ -324,10 +324,12 @@ HypervisorFleet::microreboot(Member &m)
     m.microreboots++;
 
     // Fresh plan copy before the fork so a host-alloc rule can fail
-    // the fork's kernel-CoW mapping (heap-eager fallback, counted,
-    // architecturally invisible).  Ordinal 0, like seal: with a fresh
-    // copy per incarnation the decision replays identically on every
-    // microreboot of this slot.
+    // the fork's kernel-CoW mapping (counted, architecturally
+    // invisible).  The failure takes the eager-copy fallback, which
+    // the fork asks for directly: the decision stays member-local, so
+    // concurrent forks on other workers cannot see it.  Ordinal 0,
+    // like seal: with a fresh copy per incarnation the decision
+    // replays identically on every microreboot of this slot.
     if (m.planPristine != nullptr)
         m.plan = std::make_unique<FaultPlan>(*m.planPristine);
     else
@@ -335,11 +337,8 @@ HypervisorFleet::microreboot(Member &m)
     const bool host_fault =
         m.plan != nullptr &&
         m.plan->shouldInject(FaultClass::HostAlloc, m.faultVmId, 0);
-    if (host_fault)
-        setSimulatedHostAllocFailures(2); // RAM + disk CoW views
-    GoldenFork fork = m.image->fork(m.faultVmId);
-    if (host_fault)
-        setSimulatedHostAllocFailures(0);
+    GoldenFork fork = m.image->fork(
+        m.faultVmId, host_fault ? CowBacking::EagerCopy : CowBacking::Auto);
     m.machine = std::move(fork.machine);
     m.hv = std::move(fork.hv);
     // Re-arming also clears any environment plan the fresh machine
@@ -384,20 +383,6 @@ HypervisorFleet::publishMemberGauges(Member &m) const
 }
 
 void
-HypervisorFleet::mergeAtBarrier()
-{
-    // Barrier context: every worker is parked, so member machines are
-    // safe to read and the gauges can be refreshed in place.
-    for (auto &m : members_)
-        publishMemberGauges(*m);
-    std::lock_guard<std::mutex> lock(mergeMutex_);
-    Stats merged = retiredStats_;
-    for (const auto &m : members_)
-        merged += m->machine->stats();
-    barrierStats_ = merged;
-}
-
-void
 HypervisorFleet::run(std::uint64_t max_instructions_per_vm)
 {
     for (auto &m : members_) {
@@ -405,86 +390,41 @@ HypervisorFleet::run(std::uint64_t max_instructions_per_vm)
         m->done = !memberLive(*m);
     }
 
+    // One drain loop for every worker count: each worker claims the
+    // next member off the cursor and runs its slices back to back
+    // until it is done.  A member's slices depend only on its own
+    // state, so no member ever waits on a sibling; the calling thread
+    // drains alongside the spawned ones.
     const int workers = std::clamp(config_.workers, 1,
                                    std::max(1, size()));
-
-    auto any_live = [&] {
-        for (const auto &m : members_) {
-            if (!m->done)
-                return true;
-        }
-        return false;
-    };
-
-    if (workers <= 1) {
-        // Degenerate pool: same slice granularity and member order as
-        // one worker draining the queue, with the same barrier merge.
-        while (any_live()) {
-            for (auto &m : members_) {
-                if (!m->done)
-                    runSlice(*m);
-            }
-            mergeAtBarrier();
-        }
-        return;
-    }
-
-    // Round-dispatch pool: each round, workers claim members off a
-    // shared index and run one slice each; the round barrier is where
-    // stats merge and the liveness check happen.  Member state is
-    // published worker -> coordinator by the mutex (slice writes
-    // happen before the pending-count decrement under the lock).
-    std::mutex pool_mutex;
-    std::condition_variable pool_cv;
     std::atomic<std::size_t> next_member{0};
-    std::uint64_t round = 0;
-    int pending_workers = 0;
-    bool stop = false;
-
-    auto worker_fn = [&] {
-        std::uint64_t my_round = 1;
-        std::unique_lock<std::mutex> lock(pool_mutex);
-        while (true) {
-            pool_cv.wait(lock,
-                         [&] { return stop || round >= my_round; });
-            if (stop)
-                return;
-            lock.unlock();
+    std::vector<std::exception_ptr> failures(workers);
+    auto drain = [&](int w) {
+        try {
             std::size_t i;
             while ((i = next_member.fetch_add(1)) < members_.size()) {
                 Member &m = *members_[i];
-                if (!m.done)
+                while (!m.done)
                     runSlice(m);
             }
-            lock.lock();
-            if (--pending_workers == 0)
-                pool_cv.notify_all();
-            my_round++;
+        } catch (...) {
+            failures[w] = std::current_exception();
         }
     };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (int w = 0; w < workers; ++w)
-        threads.emplace_back(worker_fn);
-
     {
-        std::unique_lock<std::mutex> lock(pool_mutex);
-        while (any_live()) {
-            next_member.store(0);
-            pending_workers = workers;
-            round++;
-            pool_cv.notify_all();
-            pool_cv.wait(lock, [&] { return pending_workers == 0; });
-            // Barrier point: every worker is parked, the coordinator
-            // owns all members.
-            mergeAtBarrier();
-        }
-        stop = true;
-        pool_cv.notify_all();
+        std::vector<std::jthread> threads; // joined on every exit path
+        threads.reserve(workers - 1);
+        for (int w = 1; w < workers; ++w)
+            threads.emplace_back(drain, w);
+        drain(0);
     }
-    for (auto &t : threads)
-        t.join();
+    for (const std::exception_ptr &failure : failures) {
+        if (failure)
+            std::rethrow_exception(failure);
+    }
+
+    // The joins hand every member back to this thread: merge once.
+    barrierStats_ = totalMachineStats();
 }
 
 Stats
@@ -512,7 +452,6 @@ HypervisorFleet::totalVmStats() const
 Stats
 HypervisorFleet::barrierStats() const
 {
-    std::lock_guard<std::mutex> lock(mergeMutex_);
     return barrierStats_;
 }
 

@@ -1,15 +1,16 @@
 /**
  * @file
- * HypervisorFleet: run many VMs on a host worker pool
+ * HypervisorFleet: run many VMs on host worker threads
  * (docs/ARCHITECTURE.md §7).
  *
  * The Hypervisor multiplexes VMs onto one RealMachine with one host
  * thread; VMs share no mutable state except that scheduler, so the
  * parallelism unit is the (machine, hypervisor) pair.  The fleet
- * gives every VM its own pair - a "member" - and dispatches runnable
- * members onto N worker threads in fixed instruction slices with a
- * barrier between rounds, merging per-member Stats/VmStats at each
- * barrier.
+ * gives every VM its own pair - a "member".  run() drains the members
+ * on N workers: a worker claims the next unclaimed member and runs
+ * its fixed instruction slices back to back until the member is done,
+ * then claims another.  No member ever waits on a sibling, and the
+ * per-member Stats/VmStats merge once, when run() returns.
  *
  * Determinism is by construction: a member's execution is a pure
  * function of its own machine state, fault plan, and virtual clock,
@@ -21,11 +22,12 @@
  * when every member's only VM has local id 0).
  *
  * Ownership rules (threading model):
- *  - During run(), a member belongs to exactly one worker per round;
- *    nothing else may touch its machine, hypervisor, or VM.
- *  - Between rounds (the barrier) the coordinating thread owns all
- *    members: stats merging and health checks happen there or on
- *    the worker that just ran the slice, never concurrently.
+ *  - During run(), a member belongs to the one worker that claimed
+ *    it; nothing else may touch its machine, hypervisor, or VM.
+ *    Health checks and microreboots run on that worker.
+ *  - Outside run() the calling thread owns all members: the stats
+ *    accessors, digest readers, and setFaultPlan are for that thread,
+ *    between runs.
  *  - Cross-thread input goes through Hypervisor's mailbox
  *    (postConsoleInput / postInterruptFromHost), which any thread may
  *    call at any time; delivery happens on the owning worker at timer
@@ -36,29 +38,27 @@
  * machine - Healthy -> Degraded (fault pressure) -> Restarting (crash,
  * waiting out backoff) -> back to Healthy via golden-image
  * microreboot, or Quarantined once the restart error budget is gone.
- * Every decision is made at the slice boundary on the worker that owns
- * the member that round, keyed only on the member's own architectural
- * counters and the global round number, so health histories and
- * healthy-member digests are bit-identical for every worker count.
+ * Every decision is made at the member's slice boundary on the worker
+ * that owns it, keyed only on the member's own architectural counters
+ * and its own slice count, so health histories and healthy-member
+ * digests are bit-identical for every worker count.
  * Recovery is a re-fork of the member's golden image (O(pages-touched),
  * golden_image.h) with a fresh copy of its armed fault plan - the
  * member replays the same injection schedule in its next incarnation -
  * never a snapshot restore of accumulated state.  Forked members
  * re-fork the image they came from; an addVm member seals its own
  * image at startVm, so every member can be microrebooted.  A member in
- * restart backoff stays halted but not done, so the round barrier
- * never stalls on it; quarantine marks it done and the fleet moves on.
+ * restart backoff stays halted but not done, counting its backoff in
+ * its own slices; quarantine marks it done.
  */
 
 #ifndef VVAX_VMM_FLEET_H
 #define VVAX_VMM_FLEET_H
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/machine.h"
@@ -70,7 +70,7 @@ namespace vvax {
 
 /**
  * Per-member health, evaluated at slice boundaries by the worker that
- * owns the member that round (docs/ARCHITECTURE.md §6d).
+ * owns the member (docs/ARCHITECTURE.md §6d).
  */
 enum class MemberHealth : Byte {
     Healthy = 0,
@@ -101,9 +101,8 @@ struct FleetSupervisionConfig
     /**
      * Slices of backoff before the first microreboot; doubles after
      * every crash of the slot (flapping members wait longer), capped.
-     * Backoff is counted in rounds - a member in backoff is halted
-     * but not done, so siblings keep running and the barrier never
-     * waits on it.
+     * Backoff is counted in the member's own slices - a member in
+     * backoff is halted but not done, and no sibling waits on it.
      */
     int backoffSlices = 1;
     int backoffCapSlices = 8;
@@ -120,10 +119,10 @@ struct FleetConfig
     /** Host worker threads (clamped to [1, members]). */
     int workers = 1;
     /**
-     * Instructions per member per round.  Rounds are the barrier
-     * points: stats merge between them.
-     * The slice is in instructions, not wall time, so scheduling is
-     * identical for every worker count.
+     * Instructions per member slice: the granularity of the health
+     * check, backoff and heartbeat (after every slice of a member).
+     * The slice is in instructions, not wall time, so every member's
+     * slice boundaries are identical for every worker count.
      */
     std::uint64_t sliceInstructions = 50000;
     /** Configuration applied to every member's RealMachine. */
@@ -209,9 +208,9 @@ class HypervisorFleet
 
     /**
      * Run every started member for up to @p max_instructions_per_vm
-     * instructions on the configured worker pool.  Returns when every
-     * member halted or exhausted its budget.  Call from one thread at
-     * a time.
+     * instructions on the configured number of workers (the calling
+     * thread is one of them).  Returns when every member halted or
+     * exhausted its budget.  Call from one thread at a time.
      */
     void run(std::uint64_t max_instructions_per_vm);
 
@@ -233,8 +232,8 @@ class HypervisorFleet
      *  mean; compare against a full snapshot restore's page count. */
     std::uint64_t pagesRecopied() const;
     /**
-     * Stats merged at the last round barrier - a consistent mid-run
-     * view for monitoring threads (guarded by the merge mutex).
+     * Stats merged at the end of the last run() (call between runs):
+     * the totalMachineStats() of that moment.
      */
     Stats barrierStats() const;
 
@@ -260,12 +259,12 @@ class HypervisorFleet
         bool done = false;
 
         // --- Crash-only supervision state (owned per the threading
-        //     model above: the worker running the slice this round,
-        //     the coordinator at barriers) ---------------------------
+        //     model above: the worker that claimed the member during
+        //     run(), the calling thread between runs) ----------------
         MemberHealth health = MemberHealth::Healthy;
         int incarnation = 0;       //!< microreboots of this slot
         int microrebootsLeft = 0;  //!< restart error budget remaining
-        int backoffLeft = 0;       //!< rounds until pending microreboot
+        int backoffLeft = 0;       //!< slices until pending microreboot
         int nextBackoff = 0;       //!< doubling backoff schedule
         int cleanSlices = 0;       //!< consecutive clean while Degraded
         int idleSlices = 0;        //!< heartbeat: zero-progress slices
@@ -274,7 +273,7 @@ class HypervisorFleet
         std::uint64_t lastDiskOps = 0;
         std::uint64_t lastMachineChecks = 0;
         // Member-lifetime supervision counters; published into the
-        // machine's Stats sup* gauges at barriers.
+        // machine's Stats sup* gauges when stats are merged.
         std::uint64_t healthTransitions = 0;
         std::uint64_t microreboots = 0;
         std::uint64_t pagesRecopied = 0;
@@ -285,7 +284,7 @@ class HypervisorFleet
     void runSlice(Member &m);
     // ----- Crash-only supervision (fleet.cc §6d) ----------------------------
     /** Health state machine + recovery, run at the slice boundary by
-     *  the worker owning @p m this round. */
+     *  the worker owning @p m. */
     void checkHealth(Member &m, std::uint64_t retired);
     void transition(Member &m, MemberHealth to);
     /** Crash-only recovery: retire the incarnation, re-fork the
@@ -296,17 +295,17 @@ class HypervisorFleet
      *  Stats. */
     void publishMemberGauges(Member &m) const;
     bool memberLive(const Member &m) const;
-    void mergeAtBarrier();
 
     FleetConfig config_;
     std::vector<std::unique_ptr<Member>> members_;
     /** Forks taken per golden image, for lineage-based fault ids. */
     std::vector<std::pair<const GoldenImage *, int>> imageForks_;
 
+    Stats barrierStats_; //!< totalMachineStats() at the end of run()
     mutable std::mutex mergeMutex_;
-    Stats barrierStats_;
     /** Counters of machines retired by microreboot(), so aggregates
-     *  cover every incarnation.  Guarded by mergeMutex_. */
+     *  cover every incarnation.  Guarded by mergeMutex_: workers
+     *  retire concurrently. */
     Stats retiredStats_;
     VmStats retiredVmStats_;
 };

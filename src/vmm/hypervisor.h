@@ -91,7 +91,7 @@ struct HypervisorConfig
      * Wall-clock bound on the async-engine drain performed by haltVm
      * and the hypervisor destructor.  A wedged (or deliberately
      * stalled — AsyncDiskEngine::stallForTesting) engine can then
-     * never wedge shutdown or a fleet's round barrier: the timed-out
+     * never wedge shutdown or a fleet worker: the timed-out
      * batch stays pending with its staging alive and the engine is
      * joined before VM storage dies.  Architectural sync points
      * (vmDiskTransfer, a new batch, suspendAll, the due tick) still

@@ -92,8 +92,9 @@ VirtualMachine &restoreVm(Hypervisor &hv, const VmSnapshot &snap);
  * continues the transcript from where the real console is.
  *
  * This is the supervisor's crash-recovery primitive (VmSupervisor):
- * snapshot periodically, and when the VM halts with a fault-class
- * reason, restore in place and continue.
+ * snapshot once when supervision begins, and whenever the VM halts
+ * with a fault-class reason, restore that snapshot in place and
+ * continue.
  *
  * Throws std::invalid_argument if @p snap's geometry (memory or disk
  * size) does not match the VM it is being restored into.

@@ -145,7 +145,6 @@ VmSupervisor::watch(VirtualMachine &vm)
             // Re-watching resets the baseline and the budget.
             w.snap = snapshotVm(hv_, vm);
             w.restartsLeft = config_.restartBudget;
-            w.pollsSinceSnapshot = 0;
             return;
         }
     }
@@ -159,26 +158,16 @@ VmSupervisor::poll()
     int restarted = 0;
     for (auto &w : watched_) {
         VirtualMachine &vm = *w.vm;
-        if (vm.halted()) {
-            if (!restartable(vm.haltReason) || w.restartsLeft <= 0)
-                continue;
-            w.restartsLeft--;
-            restoreVmInPlace(hv_, vm, w.snap);
-            w.pollsSinceSnapshot = 0;
-            restarts_++;
-            hv_.machine().stats().vmRestarts++;
-            hv_.machine().cpu().chargeCycles(
-                CycleCategory::VmmIo,
-                hv_.machine().costModel().vmmVmRestart);
-            restarted++;
-        } else if (vm.started) {
-            // Only a healthy VM is worth returning to; a snapshot of
-            // a VM mid-crash would just replay the crash.
-            if (++w.pollsSinceSnapshot >= config_.snapshotEveryPolls) {
-                w.snap = snapshotVm(hv_, vm);
-                w.pollsSinceSnapshot = 0;
-            }
-        }
+        if (!vm.halted() || !restartable(vm.haltReason) ||
+            w.restartsLeft <= 0)
+            continue;
+        w.restartsLeft--;
+        restoreVmInPlace(hv_, vm, w.snap);
+        restarts_++;
+        hv_.machine().stats().vmRestarts++;
+        hv_.machine().cpu().chargeCycles(
+            CycleCategory::VmmIo, hv_.machine().costModel().vmmVmRestart);
+        restarted++;
     }
     return restarted;
 }

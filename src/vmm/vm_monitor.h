@@ -48,8 +48,6 @@ struct VmSupervisorConfig
 {
     /** Instructions run between supervisor polls. */
     std::uint64_t sliceInstructions = 20000;
-    /** Refresh a healthy VM's snapshot every this many polls. */
-    int snapshotEveryPolls = 4;
     /** Restarts allowed per watched VM before giving up on it. */
     int restartBudget = 3;
 };
@@ -60,11 +58,13 @@ struct VmSupervisorConfig
  * The paper's security-kernel argument is that a VM can only destroy
  * itself: the VMM converts every guest-induced disaster into a halt
  * of that one VM.  VmSupervisor closes the availability half of that
- * argument - it periodically snapshots each watched VM (while the VM
- * is healthy) and, when one halts with a fault-class reason, rolls it
- * back in place (restoreVmInPlace) and lets it continue, within a
- * bounded restart budget.  Unwatched VMs and VMs that halt cleanly
- * (HaltInstruction: the guest OS asked to stop) are never restarted.
+ * argument - it snapshots each watched VM once, at watch(), and when
+ * one halts with a restartable() reason rolls it back in place to
+ * that snapshot (restoreVmInPlace) and lets it continue, within a
+ * bounded restart budget.  Recovery is crash-only: every restart
+ * returns to the same state, never to a snapshot of a later moment.
+ * Unwatched VMs and VMs that halt cleanly (HaltInstruction: the
+ * guest OS asked to stop) are never restarted.
  */
 class VmSupervisor
 {
@@ -75,17 +75,16 @@ class VmSupervisor
     }
 
     /**
-     * Begin supervising @p vm, taking its baseline snapshot now (the
-     * VM must be in a state worth restoring to - typically just after
-     * startVm or a known-good checkpoint).
+     * Begin supervising @p vm, taking the snapshot every restart
+     * returns to now (the VM must be in a state worth restoring to -
+     * typically just after startVm or a known-good checkpoint).
      */
     void watch(VirtualMachine &vm);
 
     /**
      * One supervision pass: restart watched VMs that halted with a
-     * restartable reason (budget permitting) and refresh due
-     * snapshots of healthy ones.  Returns the number of restarts
-     * performed.  The hypervisor must be outside run().
+     * restartable reason (budget permitting).  Returns the number of
+     * restarts performed.  The hypervisor must be outside run().
      */
     int poll();
 
@@ -99,28 +98,12 @@ class VmSupervisor
     /** Restarts performed over this supervisor's lifetime. */
     std::uint64_t restarts() const { return restarts_; }
 
-    /** Halt reasons the supervisor will restart from. */
-    static bool restartable(VmHaltReason reason)
-    {
-        switch (reason) {
-          case VmHaltReason::NonExistentMemory:
-          case VmHaltReason::KernelStackNotValid:
-          case VmHaltReason::BadPageTable:
-          case VmHaltReason::VmmPolicy:
-          case VmHaltReason::VmmInternal:
-            return true;
-          default: // None (healthy) and HaltInstruction (clean exit)
-            return false;
-        }
-    }
-
   private:
     struct Watched
     {
         VirtualMachine *vm;
-        VmSnapshot snap;
+        VmSnapshot snap; //!< taken at watch(); every restart restores it
         int restartsLeft;
-        int pollsSinceSnapshot = 0;
     };
 
     Hypervisor &hv_;

@@ -174,6 +174,26 @@ enum class VmHaltReason : Byte {
     VmmInternal,          //!< VMM invariant violated servicing the VM
 };
 
+/**
+ * Halt reasons a supervisor recovers from (VmSupervisor restores,
+ * the fleet microreboots): the crash-class reasons.  None (healthy)
+ * and HaltInstruction (an orderly guest shutdown) are final.
+ */
+constexpr bool
+restartable(VmHaltReason reason)
+{
+    switch (reason) {
+      case VmHaltReason::NonExistentMemory:
+      case VmHaltReason::KernelStackNotValid:
+      case VmHaltReason::BadPageTable:
+      case VmHaltReason::VmmPolicy:
+      case VmHaltReason::VmmInternal:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** A pending virtual interrupt (device-level). */
 struct VirtualInterrupt
 {

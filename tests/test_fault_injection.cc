@@ -596,15 +596,14 @@ TEST(Watchdog, DoesNotFireOnAHealthyGuest)
 
 TEST(Supervisor, ClassifiesRestartableHaltReasons)
 {
-    EXPECT_FALSE(VmSupervisor::restartable(VmHaltReason::None));
-    EXPECT_FALSE(VmSupervisor::restartable(VmHaltReason::HaltInstruction))
+    EXPECT_FALSE(restartable(VmHaltReason::None));
+    EXPECT_FALSE(restartable(VmHaltReason::HaltInstruction))
         << "an orderly guest shutdown is final";
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::NonExistentMemory));
-    EXPECT_TRUE(
-        VmSupervisor::restartable(VmHaltReason::KernelStackNotValid));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::BadPageTable));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::VmmPolicy));
-    EXPECT_TRUE(VmSupervisor::restartable(VmHaltReason::VmmInternal));
+    EXPECT_TRUE(restartable(VmHaltReason::NonExistentMemory));
+    EXPECT_TRUE(restartable(VmHaltReason::KernelStackNotValid));
+    EXPECT_TRUE(restartable(VmHaltReason::BadPageTable));
+    EXPECT_TRUE(restartable(VmHaltReason::VmmPolicy));
+    EXPECT_TRUE(restartable(VmHaltReason::VmmInternal));
 }
 
 TEST(Supervisor, RestartsACrashingVmUntilTheBudgetIsSpent)
@@ -1060,7 +1059,7 @@ TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
         // the VMM couldn't contain.
         EXPECT_TRUE(magic == MiniVmsImage::kResultMagic ||
                     vm.haltReason == VmHaltReason::HaltInstruction ||
-                    VmSupervisor::restartable(vm.haltReason));
+                    restartable(vm.haltReason));
     }
 }
 

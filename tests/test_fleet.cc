@@ -1107,8 +1107,8 @@ TEST(FleetSupervision, CrashingForksAreMicrorebootedThenQuarantined)
         const int first = fleet.addForkedMember(gold, 2);
 
         // A healthy booted sibling shares the fleet: backoff is
-        // counted in rounds on a halted-but-not-done member, so the
-        // barrier must never wait out another member's backoff.
+        // counted in the crashed member's own slices while it is
+        // halted but not done, so no sibling waits it out.
         CodeBuilder clean(0x200);
         clean.movl(Op::imm(0x600D), Op::abs(0x3000));
         clean.halt();
@@ -1184,10 +1184,10 @@ TEST(FleetSupervision, CrashingForksAreMicrorebootedThenQuarantined)
 
 TEST(FleetSupervision, BarrierCowGaugesStayFreshAcrossRunSteps)
 {
-    // barrierStats() is read mid-run by monitoring threads, so every
-    // barrier must publish the CoW gauges, not just the last one of a
-    // run: after each run() step they equal the current incarnations'
-    // own residency, crash-looping member included.
+    // barrierStats() is the merge taken at the end of each run(), so
+    // every run must publish fresh CoW gauges, not just the first:
+    // after each run() step they equal the current incarnations' own
+    // residency, crash-looping member included.
     const GoldenImage gold = sealedMiniVmsImage(400);
     const GoldenImage crash = sealedCrashImage();
 
@@ -1232,6 +1232,68 @@ TEST(FleetSupervision, BarrierCowGaugesStayFreshAcrossRunSteps)
     const Gauges one = runSteps(1);
     EXPECT_EQ(one, runSteps(2));
     EXPECT_EQ(one, runSteps(4));
+    // Worker counts outside [1, members] are clamped: 0 runs as one
+    // worker, 4 + 3 as one worker per member.
+    EXPECT_EQ(one, runSteps(0));
+    EXPECT_EQ(one, runSteps(4 + 3));
+}
+
+TEST(FleetSupervision, HostAllocMicrorebootsStayMemberLocal)
+{
+    // A host-alloc rule fails every microreboot's kernel-CoW mapping
+    // for the crash-looping forks, which recover on eager copies.
+    // Several of them reboot at the same time on different workers
+    // next to healthy forks, so the decision must reach only the
+    // member whose plan drew it: every member's backing is the same
+    // on every worker count, each injected fault is one microreboot,
+    // and no process-global failure window is left armed.
+    const GoldenImage gold = sealedMiniVmsImage(400);
+    const GoldenImage crash = sealedCrashImage();
+    FaultPlan plan(9);
+    std::string error;
+    ASSERT_TRUE(FaultPlan::parse("seed=9;host-alloc:at=0", &plan, &error))
+        << error;
+    constexpr int kCrashing = 3;
+
+    auto runFleet = [&](int workers) {
+        FleetConfig fc;
+        fc.workers = workers;
+        fc.sliceInstructions = 5000;
+        fc.machine = gold.machineConfig();
+        fc.fleetSupervision.enabled = true;
+        fc.fleetSupervision.restartBudget = 2;
+        fc.fleetSupervision.backoffSlices = 1;
+        HypervisorFleet fleet(fc);
+        fleet.addForkedMember(crash, kCrashing);
+        for (int i = 0; i < kCrashing; ++i)
+            fleet.setFaultPlan(i, &plan);
+        fleet.addForkedMember(gold, 2);
+        fleet.run(200000);
+
+        EXPECT_EQ(fleet.microreboots(), 2u * kCrashing);
+        EXPECT_EQ(fleet.totalMachineStats().faultsInjected[static_cast<int>(
+                      FaultClass::HostAlloc)],
+                  fleet.microreboots())
+            << "one host-alloc fault per microreboot";
+        EXPECT_EQ(simulatedHostAllocFailuresRemaining(), 0);
+        std::vector<bool> kernel_cow;
+        for (int i = 0; i < fleet.size(); ++i) {
+            kernel_cow.push_back(
+                fleet.machine(i).memory().kernelCowActive());
+            if (i < kCrashing) {
+                EXPECT_FALSE(kernel_cow.back())
+                    << "member " << i << " recovered on an eager copy";
+            } else {
+                EXPECT_EQ(kernel_cow.back(), gold.kernelBacked())
+                    << "member " << i << " keeps the image's backing";
+            }
+        }
+        return kernel_cow;
+    };
+
+    const std::vector<bool> one = runFleet(1);
+    EXPECT_EQ(one, runFleet(2));
+    EXPECT_EQ(one, runFleet(4));
 }
 
 TEST(FleetSupervision, ForkLineageKeepsFaultIdentityStable)
