@@ -222,7 +222,6 @@ coldBootToSealPoint()
     HypervisorConfig hc;
     hc.tickCycles = 2000;
     hc.ticksPerQuantum = 2;
-    hc.asyncDiskIo = true;
     MiniVmsConfig cfg;
     cfg.numProcesses = 2;
     cfg.workloads = {Workload::Transaction, Workload::Edit};

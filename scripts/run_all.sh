@@ -36,8 +36,8 @@ env $SAN_ENV ctest --test-dir build-asan >test_asan_output.txt 2>&1 ||
     { cat test_asan_output.txt; exit 1; }
 tail -n 3 test_asan_output.txt
 
-# The threaded subsystems (hypervisor fleet worker pool, async disk
-# engine, cross-thread console mailbox) again under ThreadSanitizer:
+# The threaded subsystems (hypervisor fleet worker pool, cross-thread
+# console mailbox) again under ThreadSanitizer:
 # the determinism contract rests on the documented ownership rules
 # (docs/ARCHITECTURE.md §7), so data races must be proven absent, not
 # assumed.  Only the threaded suites run here - TSan on the full
@@ -50,10 +50,9 @@ env TSAN_OPTIONS=halt_on_error=1 \
     build-tsan/tests/test_fleet >test_tsan_output.txt 2>&1 ||
     { cat test_tsan_output.txt; exit 1; }
 tail -n 2 test_tsan_output.txt
-# The golden-image suite seals and forks VMs whose hypervisors run
-# the async disk engine (forks inherit asyncDiskIo=true), so the
-# seal's drain handshake and each fork's private engine threads get
-# the same proof-of-absence treatment as the fleet pool.
+# The golden-image suite seals images and runs their forks on the
+# fleet pool (forked fleets, shared read-only CoW backings), so it gets
+# the same proof-of-absence treatment as test_fleet.
 env TSAN_OPTIONS=halt_on_error=1 \
     build-tsan/tests/test_golden_image >>test_tsan_output.txt 2>&1 ||
     { cat test_tsan_output.txt; exit 1; }
@@ -62,12 +61,12 @@ tail -n 2 test_tsan_output.txt
 # Deterministic fault sweep (ARCHITECTURE.md §6): drive the lockstep
 # and supervised-survival tests under an aggressive VVAX_FAULT_PLAN
 # for eight seeds, on both the regular and sanitizer trees.  The plan
-# covers the async/fork-era classes too (late and corrupted async
-# completions, delayed mailbox delivery).  Any seed that breaks
+# covers the fleet-era mailbox-delay class too (delayed cross-thread
+# mailbox delivery).  Any seed that breaks
 # fast/reference agreement, crashes the host, or trips a sanitizer
 # fails the run.
 SWEEP_PLAN_FOR_SEED() {
-  echo "seed=$1;disk-transient:every=3;torn:every=2;ecc:every=16;spurious:every=9;async-late:every=4;async-corrupt:every=7;mailbox-delay:every=2"
+  echo "seed=$1;disk-transient:every=3;torn:every=2;ecc:every=16;spurious:every=9;mailbox-delay:every=2"
 }
 {
   for tree in build build-asan; do
@@ -88,8 +87,8 @@ SWEEP_PLAN_FOR_SEED() {
           --gtest_filter='FleetSweep.*'
     done
   done
-  # The same seeds on the ThreadSanitizer tree: the async engine and
-  # the fleet worker pool absorb every injected class while TSan
+  # The same seeds on the ThreadSanitizer tree: the fleet worker pool
+  # and the mailbox absorb every injected class while TSan
   # watches the cross-thread traffic.  (The plan-free supervision and
   # microreboot suites - which assert exact injection counts and so
   # cannot run with an environment plan armed - already ran above in

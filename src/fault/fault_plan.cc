@@ -41,8 +41,6 @@ faultClassName(FaultClass cls)
       case FaultClass::TornBatch: return "torn";
       case FaultClass::Ecc: return "ecc";
       case FaultClass::SpuriousInterrupt: return "spurious";
-      case FaultClass::AsyncLate: return "async-late";
-      case FaultClass::AsyncCorrupt: return "async-corrupt";
       case FaultClass::MailboxDelay: return "mailbox-delay";
       case FaultClass::HostAlloc: return "host-alloc";
       case FaultClass::NumClasses: break;

@@ -10,11 +10,11 @@
  * VM id, architectural ordinal), whether a given operation fails.
  *
  * Because every decision keys on an *architectural* ordinal (the
- * per-VM disk-op count, the global timer-tick count, the batch-ring
- * count) and never on host state, the same plan produces bit-identical
- * behaviour on the host fast path and the reference interpreter
- * (VVAX_EXEC_TIER=ref) — injected faults stay inside the lockstep
- * envelope the equivalence tests check.
+ * per-VM disk-op count, the global timer-tick count, the mailbox
+ * delivery count) and never on host state, the same plan produces
+ * bit-identical behaviour on the host fast path and the reference
+ * interpreter (VVAX_EXEC_TIER=ref) — injected faults stay inside the
+ * lockstep envelope the equivalence tests check.
  *
  * Injection sites (docs/ARCHITECTURE.md Section 6):
  *  - DiskTransient / DiskHard: Hypervisor::vmDiskTransfer (per-VM
@@ -30,13 +30,6 @@
  *    frame instead of halting the VM.
  *  - SpuriousInterrupt: an unexpected disk-device interrupt posted to
  *    the resident VM.
- *  - AsyncLate: an async kDiskBatch completion arrives late — the
- *    submit path stretches the batch's dueTick by a deterministic
- *    1..kMaxAsyncLateTicks extra virtual ticks (per-VM batch ordinal).
- *  - AsyncCorrupt: the staging snapshot of an async batch is
- *    corrupted in flight; the VMM detects it, drops the data copies
- *    and posts terminal kBatchStatusError on every serviced
- *    descriptor, so the guest's async retry path runs.
  *  - MailboxDelay: a due cross-thread mailbox entry (console input or
  *    host interrupt) is held back a deterministic 1..kMaxMailboxDelay
  *    extra ticks before delivery (per-VM delivery ordinal) — delivery
@@ -53,12 +46,11 @@
  *   VVAX_FAULT_PLAN="seed=7;disk-transient:vm=0,every=3;ecc:every=16;
  *                    torn:vm=0,every=2;spurious:prob=64;
  *                    disk-hard:vm=1,block=96,nblocks=4,count=2;
- *                    async-late:every=5;async-corrupt:every=7;
  *                    mailbox-delay:every=3;host-alloc:at=0"
  *
  * Clause grammar: `class:key=value,key=value,...` with classes
- * disk-transient | disk-hard | torn | ecc | spurious | async-late |
- * async-corrupt | mailbox-delay | host-alloc and keys
+ * disk-transient | disk-hard | torn | ecc | spurious | mailbox-delay |
+ * host-alloc and keys
  *   vm=N      only this VM id (-1 / absent: any VM, and the bare disk)
  *   at=N      fire at exactly ordinal N
  *   every=N   fire when (ordinal + 1) % N == 0
@@ -88,8 +80,6 @@ enum class FaultClass : Byte {
     TornBatch,         //!< kDiskBatch ring only partially serviced
     Ecc,               //!< physical-memory error while a VM is resident
     SpuriousInterrupt, //!< unexpected device interrupt into the VM
-    AsyncLate,         //!< async batch completion past its dueTick
-    AsyncCorrupt,      //!< async staging corrupted; batch fails whole
     MailboxDelay,      //!< cross-thread mailbox entry delivered late
     HostAlloc,         //!< memfd/mmap/seal failure; heap-eager fallback
     NumClasses,
@@ -118,11 +108,10 @@ std::string_view faultClassName(FaultClass cls);
 constexpr Longword kMcheckCodeEcc = 1;
 constexpr Longword kMcheckParamBytes = 8;
 
-/** Bounds on the deterministic delays the late-delivery classes add.
- *  Small on purpose: a delayed completion/delivery must stay well
- *  inside the virtual-time horizon of a quantum so guests' timeout
- *  loops ride it out rather than declare the device dead. */
-constexpr std::uint64_t kMaxAsyncLateTicks = 8;
+/** Bound on the deterministic delay a mailbox-delay fault adds.
+ *  Small on purpose: a delayed delivery must stay well inside the
+ *  virtual-time horizon of a quantum so guests' timeout loops ride it
+ *  out rather than declare the device dead. */
 constexpr std::uint64_t kMaxMailboxDelayTicks = 4;
 
 /** One injection rule.  Unset selectors never match (see fault_plan.h
@@ -167,7 +156,7 @@ class FaultPlan
 
     /**
      * Deterministic delay in [1, max_ticks] for a late-delivery fault
-     * (AsyncLate, MailboxDelay).  Pure in (seed, cls, vm_id, ordinal),
+     * (MailboxDelay).  Pure in (seed, cls, vm_id, ordinal),
      * like every other decision.
      */
     std::uint64_t delayTicks(FaultClass cls, int vm_id,

@@ -631,19 +631,11 @@ buildMiniVms(const MiniVmsConfig &cfg)
             b.mtpr(Op::lit(kcallabi::kDiskBatch), Ipr::KCALL);
             b.tstl(Op::reg(R0));
             b.bneq(batch_failed);
-            {
-                // Async VMM (feature bit 2): kOk in R0 acknowledged
-                // the submission only.  The flags cell was written
-                // with its status bits clear (kBatchStatusNone), so
-                // poll flags<31:16> until the VMM posts the real
-                // status at the completion tick (kcall.h).  A sync
-                // VMM already posted it, making the poll a single
-                // pass.
-                Label await = b.bindHere();
-                b.ashl(Op::imm(static_cast<Longword>(-16)),
-                       Op::absRef(d_ring, kS + 12), Op::reg(R0));
-                b.beql(await); // kBatchStatusNone: still in flight
-            }
+            // The VMM posted the final status into flags<31:16>
+            // before returning (kcall.h).  Anything but Ok - even
+            // kBatchStatusNone - takes the per-block path below.
+            b.ashl(Op::imm(static_cast<Longword>(-16)),
+                   Op::absRef(d_ring, kS + 12), Op::reg(R0));
             b.cmpl(Op::reg(R0), Op::lit(kcallabi::kBatchStatusOk));
             b.bneq(batch_failed);
             b.popr(Op::imm(0xFC));

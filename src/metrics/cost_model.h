@@ -80,7 +80,6 @@ struct CostModel
     Cycles vmmDeliverInterrupt = 55; //!< push frame into the VM
     Cycles vmmKcallIo = 150;        //!< start-I/O hypercall service
     Cycles vmmKcallDescriptor = 20; //!< per kDiskBatch ring descriptor
-    Cycles vmmAsyncDiskCompletion = 60; //!< apply an async batch completion
     Cycles vmmMmioReference = 130;  //!< emulate one device register access
     Cycles vmmReflectException = 48; //!< forward a fault to the VM's SCB
     Cycles vmmWait = 40;

@@ -43,7 +43,7 @@ std::string_view cycleCategoryName(CycleCategory cat);
  * src/fault/fault_plan.h).  Declared here so Stats can size its
  * per-class counter array without a metrics -> fault dependency.
  */
-constexpr int kNumFaultClasses = 9;
+constexpr int kNumFaultClasses = 7;
 
 /**
  * The contract a Stats field obeys; every field carries exactly one.

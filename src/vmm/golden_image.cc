@@ -14,9 +14,9 @@ GoldenImage::seal(Hypervisor &hv, VirtualMachine &vm)
             "GoldenImage::seal: the sealed VM must be its hypervisor's "
             "only VM (whole-machine RAM is part of the image)");
 
-    // snapshotVm suspends the VM and drains async I/O, then captures
-    // the register/device state we keep.  Its memory/disk payload
-    // vectors are redundant with the sealed regions below; drop them.
+    // snapshotVm suspends the VM, then captures the register/device
+    // state we keep.  Its memory/disk payload vectors are redundant
+    // with the sealed regions below; drop them.
     VmSnapshot snap = snapshotVm(hv, vm);
 
     GoldenImage image;

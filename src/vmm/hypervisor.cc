@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "fault/fault_plan.h"
-#include "vmm/async_disk.h"
 #include "vmm/kcall.h"
 
 namespace vvax {
@@ -145,19 +144,7 @@ Hypervisor::Hypervisor(RealMachine &machine, HypervisorConfig config)
     cpu_.enterIdleWait();
 }
 
-Hypervisor::~Hypervisor()
-{
-    // Apply pending async completions before the engine joins: the
-    // disk and memory images inspected after teardown must be final.
-    // Bounded, so a wedged engine cannot wedge destruction; a batch
-    // that times out stays pending with its staging alive, and the
-    // explicit engine reset below joins the worker — which finishes
-    // its copies into that still-alive staging/disk storage — before
-    // the VMs (and their disks) are destroyed.
-    for (auto &vm : vms_)
-        drainAsyncDisk(*vm, /*bounded=*/true);
-    asyncEngine_.reset();
-}
+Hypervisor::~Hypervisor() = default;
 
 PhysAddr
 Hypervisor::allocPages(Longword pages)
@@ -486,11 +473,7 @@ Hypervisor::vmRunnable(const VirtualMachine &vm) const
     if (!vm.waiting)
         return true;
     // WAIT wakes on a deliverable virtual interrupt or on timeout
-    // (paper footnote: "WAIT times out after some seconds").  A due
-    // async disk completion is a wake event too: loadAndRun applies
-    // it and the completion interrupt gets delivered on entry.
-    if (asyncDiskDue(vm))
-        return true;
+    // (paper footnote: "WAIT times out after some seconds").
     if (vm.highestPendingIpl() > Psl(vm.vmpsl).ipl())
         return true;
     return tickCount_ >= vm.waitDeadline;
@@ -560,11 +543,6 @@ Hypervisor::loadAndRun(VirtualMachine &vm)
                                             config_.tickCycles));
     }
 
-    // A completion that came due while the VM was off-processor is
-    // applied on entry, before the first guest instruction runs.
-    if (asyncDiskDue(vm))
-        applyAsyncDiskCompletion(vm);
-
     vm.stats.vmEntries++;
     continueVm(vm, vm.savedPc, Psl(vm.savedRealPsl));
 }
@@ -577,18 +555,6 @@ Hypervisor::suspendAll()
         suspendCurrent(cpu_.pc(), cpu_.psl());
         enterIdle();
     }
-    // Inspection/snapshot barrier: every VM's disk and memory must be
-    // final, so pending async batches complete now.
-    for (auto &vm : vms_)
-        drainAsyncDisk(*vm);
-}
-
-void
-Hypervisor::stallAsyncDiskForTesting(std::chrono::milliseconds ms)
-{
-    if (!asyncEngine_)
-        asyncEngine_ = std::make_unique<AsyncDiskEngine>();
-    asyncEngine_->stallForTesting(ms);
 }
 
 void
@@ -613,11 +579,6 @@ Hypervisor::suspendCurrent(VirtAddr pc, Psl real_psl)
 void
 Hypervisor::haltVm(VirtualMachine &vm, VmHaltReason reason)
 {
-    // Post-mortem state should be final, but a halt must never hang
-    // on a wedged engine: bounded drain, and if it times out the
-    // batch simply stays pending (a later architectural sync point or
-    // the destructor's engine join finishes the byte movement).
-    drainAsyncDisk(vm, /*bounded=*/true);
     flushConsoleOutput(vm);
     vm.haltReason = reason;
     if (currentVm_ == vm.id()) {
@@ -664,12 +625,6 @@ Hypervisor::hookTimer(const HostFrame &frame)
         // Virtual timer interrupts are delivered only while the VM is
         // actually running (paper Section 5).
         accrueVirtualClock(vm, config_.tickCycles);
-
-        // Async disk completion lands at its virtual-tick deadline
-        // while the VM is resident, so the charge and the interrupt
-        // stay inside the owning VM's quantum.
-        if (asyncDiskDue(vm))
-            applyAsyncDiskCompletion(vm);
 
         // Fault injection against the resident VM, keyed on the tick
         // ordinal (architectural: both execution paths tick at the

@@ -19,7 +19,6 @@
 #define VVAX_VMM_HYPERVISOR_H
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -31,8 +30,6 @@
 #include "vmm/vm_state.h"
 
 namespace vvax {
-
-class AsyncDiskEngine;
 
 struct HypervisorConfig
 {
@@ -72,32 +69,6 @@ struct HypervisorConfig
      * guest-visible console synchronization point.
      */
     bool consoleCoalescing = true;
-    /**
-     * Service kDiskBatch asynchronously (docs/ARCHITECTURE.md §7):
-     * the exit validates the ring, resolves every per-descriptor
-     * status and fault decision, snapshots write data, and enqueues
-     * the host-side byte movement to an I/O worker thread; the guest
-     * resumes immediately and observes completion - statuses posted
-     * into the ring plus the vector-0x100 interrupt - when the VM
-     * reaches the completion tick.  Advertised to guests as
-     * kcallabi::kFeatureDiskAsync.  Architecturally deterministic:
-     * every decision and the completion point key on per-VM ordinals
-     * and virtual ticks, never on wall-clock I/O timing.
-     */
-    bool asyncDiskIo = false;
-    /** Virtual ticks between async submit and completion (>= 1). */
-    Longword asyncDiskLatencyTicks = 1;
-    /**
-     * Wall-clock bound on the async-engine drain performed by haltVm
-     * and the hypervisor destructor.  A wedged (or deliberately
-     * stalled — AsyncDiskEngine::stallForTesting) engine can then
-     * never wedge shutdown or a fleet worker: the timed-out
-     * batch stays pending with its staging alive and the engine is
-     * joined before VM storage dies.  Architectural sync points
-     * (vmDiskTransfer, a new batch, suspendAll, the due tick) still
-     * drain unboundedly — they are part of guest-visible time.
-     */
-    Longword asyncDiskDrainTimeoutMs = 2000;
     /**
      * No-forward-progress watchdog: a VM that stays at or above
      * watchdogIplThreshold with no deliverable virtual interrupt for
@@ -169,13 +140,6 @@ class Hypervisor
      * scheduling exit already leaves every VM suspended).
      */
     void suspendAll();
-
-    /**
-     * Test hook: stall the async-disk worker @p ms per job (0 resets),
-     * simulating a wedged host I/O path so the bounded shutdown
-     * drains can be exercised.  Creates the engine if needed.
-     */
-    void stallAsyncDiskForTesting(std::chrono::milliseconds ms);
 
     RealMachine &machine() { return machine_; }
     const HypervisorConfig &config() const { return config_; }
@@ -278,40 +242,6 @@ class Hypervisor
     void hookModifyFault(const HostFrame &frame);
     void hookMachineCheck(const HostFrame &frame);
 
-    // ----- Asynchronous disk batches (vmm_memory.cc) -------------------------
-    /**
-     * Bounds-check one transfer and resolve its fault-injection
-     * outcome, advancing the VM's architectural disk-op ordinal and
-     * charging exactly as the synchronous path does - without moving
-     * any data.  Shared by vmDiskTransfer and the async submit path
-     * so both fail the exact same operations.
-     */
-    bool planDiskOp(VirtualMachine &vm, Longword block, Longword count,
-                    PhysAddr vm_addr);
-    /**
-     * Async kDiskBatch submit: validate + snapshot the ring, resolve
-     * every status, stage write data, enqueue the host copies.
-     * Returns false if the ring itself is malformed (the KCALL then
-     * fails synchronously).
-     */
-    bool submitAsyncDiskBatch(VirtualMachine &vm, PhysAddr ring,
-                              Longword n_desc);
-    /**
-     * Apply a pending completion on the owning thread: block on the
-     * engine if the copies are still in flight, post statuses into
-     * the guest ring, copy read data in through the store funnel, and
-     * raise the completion interrupt.  With @p bounded, give up after
-     * config_.asyncDiskDrainTimeoutMs and leave the batch pending
-     * (shutdown paths only; see HypervisorConfig).
-     */
-    void applyAsyncDiskCompletion(VirtualMachine &vm, bool bounded = false);
-    /** Force a pending completion now (architectural sync points). */
-    void drainAsyncDisk(VirtualMachine &vm, bool bounded = false);
-    bool asyncDiskDue(const VirtualMachine &vm) const
-    {
-        return vm.asyncBatch.pending && tickCount_ >= vm.asyncBatch.dueTick;
-    }
-
     // ----- VM virtual memory access helpers ---------------------------------
     bool vmReadVirt32(VirtualMachine &vm, VirtAddr va, Longword &out);
     bool vmWriteVirt32(VirtualMachine &vm, VirtAddr va, Longword value);
@@ -395,9 +325,6 @@ class Hypervisor
     Longword tickCount_ = 0;
     Longword quantumStartTick_ = 0;
     std::uint64_t slotUseCounter_ = 0;
-
-    /** Lazily created when the first async batch is submitted. */
-    std::unique_ptr<AsyncDiskEngine> asyncEngine_;
 
     // ----- Cross-thread mailbox ---------------------------------------------
     // Everything else in the hypervisor is owned by the one thread

@@ -37,24 +37,13 @@ enum Status : Longword {
  * Feature bits returned by kQueryFeatures.  Bit 0 is deliberately
  * unused: a VMM predating kQueryFeatures answers an unknown function
  * code with kError (== 1), which a driver probing bit 0 would misread
- * as the feature being present.
+ * as the feature being present.  Bit 2 (value 4) is reserved and never
+ * set: it once advertised kFeatureDiskAsync, an asynchronous kDiskBatch
+ * whose R0 = kOk only acknowledged the submission.  kDiskBatch is
+ * synchronous, so its statuses are final when the KCALL returns.
  */
 enum Feature : Longword {
     kFeatureDiskBatch = 2,
-    /**
-     * kDiskBatch completes asynchronously: R0 = kOk acknowledges the
-     * submission only, every descriptor's flags<31:16> stays
-     * kBatchStatusNone until the VMM posts the real statuses, and the
-     * vector-0x100 interrupt marks the completion.  A driver that saw
-     * this bit must poll the status field (or wait for the interrupt)
-     * after a successful submit before trusting the data; clearing
-     * flags<31:16> before the call is what arms the poll.  An async
-     * completion posts a terminal status into every descriptor -
-     * unserviced descriptors (e.g. a torn batch's tail) read
-     * kBatchStatusError rather than staying kBatchStatusNone, so a
-     * poll always terminates.  Implies kFeatureDiskBatch.
-     */
-    kFeatureDiskAsync = 4,
 };
 
 /**

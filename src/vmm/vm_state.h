@@ -22,18 +22,17 @@
 #include "arch/types.h"
 #include "dev/console.h"
 #include "memory/cow_backing.h"
-#include "vmm/kcall.h"
 
 namespace vvax {
 
 /**
- * The VM's virtual disk: a flat byte image (the async I/O engine and
- * the KCALL paths hold raw data() pointers, so the storage address is
- * stable for the life of the VM) whose backing is a policy, like RAM's.
+ * The VM's virtual disk: a flat byte image (the KCALL paths hold raw
+ * data() pointers, so the storage address is stable for the life of
+ * the VM) whose backing is a policy, like RAM's.
  * A plain VM owns zero-filled storage; a golden-image fork is a
  * copy-on-write view of the sealed base disk, with a block-keyed dirty
  * bitmap recording the fork's private overlay.  Every host-side write
- * funnel into the image (KCALL transfers, batch submits, loadVmDisk)
+ * funnel into the image (KCALL and batch transfers, loadVmDisk)
  * calls markWritten(), which counts each block's first write into a
  * CowResidency, so blocksTouched()/privateBytes() account the overlay
  * exactly and in O(1).
@@ -219,10 +218,6 @@ struct VirtualInterrupt
  *                                    KCALLs re-issued after a failure,
  *                                    machine checks reflected in,
  *                                    no-forward-progress halts
- *   asyncDiskBatches / asyncDiskCompletions - kDiskBatch rings
- *                                    submitted to / completed by the
- *                                    asynchronous I/O engine
- *                                    (vmm/async_disk.h)
  *   mailboxDeliveries              - cross-thread mailbox entries that
  *                                    reached their delivery tick; the
  *                                    per-VM ordinal mailbox-delay
@@ -262,8 +257,6 @@ struct VirtualInterrupt
     X(diskRetries)                                                     \
     X(machineChecks)                                                   \
     X(watchdogHalts)                                                   \
-    X(asyncDiskBatches)                                                \
-    X(asyncDiskCompletions)                                            \
     X(mailboxDeliveries)
 
 struct VmStats
@@ -399,35 +392,6 @@ class VirtualMachine
     // Fault-recovery bookkeeping.
     bool lastDiskOpFailed = false; //!< previous disk KCALL failed
     Longword watchdogTicks = 0;    //!< consecutive no-progress ticks
-
-    /**
-     * The VM's one in-flight asynchronous kDiskBatch
-     * (HypervisorConfig::asyncDiskIo; docs/ARCHITECTURE.md §7).
-     * Everything architectural - per-descriptor statuses, fault
-     * decisions, the completion tick - is resolved at submit time on
-     * the thread that owns the VM; the I/O worker only moves bytes
-     * between the virtual disk and the staging buffer.  While
-     * `pending`, the VM's disk and this struct belong to the engine
-     * and the owning thread must drain before touching either.
-     */
-    struct AsyncDiskBatch
-    {
-        bool pending = false;
-        std::uint64_t job = 0;   //!< AsyncDiskEngine ticket
-        PhysAddr ring = 0;       //!< VM-physical descriptor ring
-        Longword nDesc = 0;
-        Longword dueTick = 0;    //!< virtual tick the completion lands
-        bool allOk = false;      //!< every descriptor kBatchStatusOk
-        /** Descriptor snapshot taken at submit (guest-owned bits). */
-        std::array<Byte, kcallabi::kMaxBatchDescriptors *
-                             kcallabi::kBatchDescriptorBytes>
-            descs{};
-        /** Per-descriptor status resolved at submit (kcall.h). */
-        std::array<Longword, kcallabi::kMaxBatchDescriptors> status{};
-        /** Host-side bounce buffer the I/O worker copies through. */
-        std::vector<Byte> staging;
-    };
-    AsyncDiskBatch asyncBatch;
 
     // ----- Virtual interrupts ----------------------------------------------
     std::vector<VirtualInterrupt> pendingInts;

@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "fault/fault_plan.h"
-#include "vmm/async_disk.h"
 
 namespace vvax {
 
@@ -588,8 +587,8 @@ Hypervisor::vmWriteVirt32(VirtualMachine &vm, VirtAddr va, Longword value)
 }
 
 bool
-Hypervisor::planDiskOp(VirtualMachine &vm, Longword block, Longword count,
-                       PhysAddr vm_addr)
+Hypervisor::vmDiskTransfer(VirtualMachine &vm, bool write, Longword block,
+                           Longword count, PhysAddr vm_addr)
 {
     // 64-bit arithmetic throughout: block, count and vm_addr are all
     // guest-controlled, and a 32-bit `vm_addr + bytes` can wrap past
@@ -621,20 +620,7 @@ Hypervisor::planDiskOp(VirtualMachine &vm, Longword block, Longword count,
     } else {
         vm.stats.diskOps++;
     }
-    return true;
-}
 
-bool
-Hypervisor::vmDiskTransfer(VirtualMachine &vm, bool write, Longword block,
-                           Longword count, PhysAddr vm_addr)
-{
-    // A synchronous transfer must not race the engine over the disk
-    // image or reorder around an unapplied completion.
-    drainAsyncDisk(vm);
-    if (!planDiskOp(vm, block, count, vm_addr))
-        return false;
-
-    const std::uint64_t bytes = static_cast<std::uint64_t>(count) * 512;
     Byte *disk = vm.disk.data() + static_cast<std::uint64_t>(block) * 512;
     const PhysAddr real = vm.vmPhysToReal(vm_addr);
     const Longword len = static_cast<Longword>(bytes);
@@ -652,9 +638,6 @@ Hypervisor::vmDiskTransferBatch(VirtualMachine &vm, PhysAddr ring,
                                 Longword n_desc)
 {
     using namespace kcallabi;
-    // A new batch is an architectural sync point for any still-pending
-    // asynchronous one (the guest may even be reusing the same ring).
-    drainAsyncDisk(vm);
     if (n_desc == 0 || n_desc > kMaxBatchDescriptors)
         return false;
     const Longword ring_bytes = n_desc * kBatchDescriptorBytes;
@@ -721,234 +704,6 @@ Hypervisor::vmDiskTransferBatch(VirtualMachine &vm, PhysAddr ring,
                          (status << kBatchStatusShift));
     }
     return all_ok;
-}
-
-// ---------------------------------------------------------------------------
-// Asynchronous disk batches (docs/ARCHITECTURE.md §7)
-//
-// Everything architectural happens on the thread that owns the VM:
-// submit resolves bounds checks, fault decisions (advancing the same
-// per-VM ordinals the synchronous path uses), per-descriptor statuses
-// and the completion tick, and snapshots write data into a staging
-// buffer.  The I/O worker is handed nothing but host memcpys between
-// the disk image and staging.  The completion - status words posted
-// into the ring, read data copied in through the store funnel (page
-// generations bump exactly where a synchronous batch would bump
-// them), the vector-0x100 interrupt - is applied by the owning thread
-// when the VM reaches the due tick, so the guest-visible ordering is
-// a pure function of virtual time.
-// ---------------------------------------------------------------------------
-
-bool
-Hypervisor::submitAsyncDiskBatch(VirtualMachine &vm, PhysAddr ring,
-                                 Longword n_desc)
-{
-    using namespace kcallabi;
-    drainAsyncDisk(vm); // serialize back-to-back batches
-    if (n_desc == 0 || n_desc > kMaxBatchDescriptors)
-        return false;
-    const Longword ring_bytes = n_desc * kBatchDescriptorBytes;
-    if (static_cast<std::uint64_t>(ring) + ring_bytes >
-        static_cast<std::uint64_t>(vm.memPages) * kPageSize)
-        return false;
-
-    VirtualMachine::AsyncDiskBatch &ab = vm.asyncBatch;
-    ab.ring = ring;
-    ab.nDesc = n_desc;
-    std::memcpy(ab.descs.data(), mem_.ram().data() + vm.vmPhysToReal(ring),
-                ring_bytes);
-
-    // Torn-batch decision: same ordinal key as the synchronous path.
-    Longword tear = n_desc;
-    if (FaultPlan *plan = machine_.faultPlan()) {
-        if (plan->shouldInject(FaultClass::TornBatch, vm.faultId(),
-                               vm.stats.diskOps)) {
-            tear = n_desc / 2;
-            machine_.stats().faultsInjected[static_cast<int>(
-                FaultClass::TornBatch)]++;
-            charge(CycleCategory::VmmIo,
-                   machine_.costModel().vmmFaultDiskService);
-        }
-    }
-
-    // Async-specific fault decisions key on the per-VM batch ordinal
-    // (the value asyncDiskBatches holds before this submit bumps it),
-    // resolved here on the owning thread like everything else
-    // architectural.  Staging corruption (FaultClass::AsyncCorrupt)
-    // fails every descriptor terminally - the completion posts
-    // kBatchStatusError across the ring and moves no bytes, and the
-    // guest driver recovers by re-issuing descriptors individually.
-    // Note it skips planDiskOp, so the disk-op ordinal stream shifts
-    // versus an unfaulted run - deterministically, since the decision
-    // itself is a pure function of (seed, vm, batch ordinal).
-    const std::uint64_t batch_ord = vm.stats.asyncDiskBatches;
-    bool corrupt = false;
-    if (FaultPlan *plan = machine_.faultPlan()) {
-        if (plan->shouldInject(FaultClass::AsyncCorrupt, vm.faultId(),
-                               batch_ord)) {
-            corrupt = true;
-            machine_.stats().faultsInjected[static_cast<int>(
-                FaultClass::AsyncCorrupt)]++;
-            charge(CycleCategory::VmmIo,
-                   machine_.costModel().vmmFaultDiskService);
-        }
-    }
-
-    // Size the staging buffer for every descriptor that will move
-    // data, then resolve statuses and queue the copies.
-    ab.staging.clear();
-    std::vector<AsyncDiskEngine::Copy> copies;
-    std::uint64_t staged = 0;
-    for (Longword i = 0; i < n_desc; ++i) {
-        const Byte *d = ab.descs.data() + i * kBatchDescriptorBytes;
-        Longword count;
-        std::memcpy(&count, d + kBatchDescCount, 4);
-        staged += static_cast<std::uint64_t>(count) * 512;
-    }
-    // One allocation before any pointer into it is taken.
-    ab.staging.reserve(staged);
-
-    bool all_ok = true;
-    for (Longword i = 0; i < n_desc; ++i) {
-        const Byte *d = ab.descs.data() + i * kBatchDescriptorBytes;
-        Longword block, count, vm_pa, flags;
-        std::memcpy(&block, d + kBatchDescBlock, 4);
-        std::memcpy(&count, d + kBatchDescCount, 4);
-        std::memcpy(&vm_pa, d + kBatchDescVmPa, 4);
-        std::memcpy(&flags, d + kBatchDescFlags, 4);
-        // Unlike a synchronous torn batch, whose unserviced tail
-        // stays kBatchStatusNone, an async completion posts a
-        // terminal status for every descriptor: None is the "still
-        // in flight" sentinel a polling driver spins on, so it must
-        // never be a final answer (kcall.h).  Error and None demand
-        // the same recovery - re-issue the descriptor individually.
-        Longword status = kBatchStatusError;
-        if (i < tear && !corrupt) {
-            if (planDiskOp(vm, block, count, vm_pa)) {
-                vm.stats.batchedDiskBlocks += count;
-                status = kBatchStatusOk;
-                const std::size_t bytes =
-                    static_cast<std::size_t>(count) * 512;
-                const std::size_t off = ab.staging.size();
-                ab.staging.resize(off + bytes);
-                Byte *stage = ab.staging.data() + off;
-                Byte *disk = vm.disk.data() +
-                             static_cast<std::uint64_t>(block) * 512;
-                if ((flags & kBatchFlagWrite) != 0) {
-                    // Write data is snapshotted now: the guest may
-                    // scribble on the buffer the moment it resumes.
-                    mem_.readBlock(vm.vmPhysToReal(vm_pa),
-                                   {stage, static_cast<Longword>(bytes)});
-                    copies.push_back({disk, stage, bytes});
-                    vm.disk.markWritten(block, count);
-                } else {
-                    copies.push_back({stage, disk, bytes});
-                }
-            } else {
-                status = kBatchStatusError;
-            }
-        }
-        if (status != kBatchStatusOk)
-            all_ok = false;
-        ab.status[i] = status;
-    }
-
-    ab.allOk = all_ok;
-    const Longword latency = config_.asyncDiskLatencyTicks > 0
-                                 ? config_.asyncDiskLatencyTicks
-                                 : 1;
-    ab.dueTick = tickCount_ + latency;
-    // Late completion (FaultClass::AsyncLate): stretch the latency by
-    // 1..kMaxAsyncLateTicks extra virtual ticks.  The completion
-    // still lands on a deterministic tick — guests see a slow disk,
-    // not a nondeterministic one.
-    if (FaultPlan *plan = machine_.faultPlan()) {
-        if (plan->shouldInject(FaultClass::AsyncLate, vm.faultId(),
-                               batch_ord)) {
-            machine_.stats().faultsInjected[static_cast<int>(
-                FaultClass::AsyncLate)]++;
-            ab.dueTick += static_cast<Longword>(
-                plan->delayTicks(FaultClass::AsyncLate, vm.faultId(),
-                                 batch_ord, kMaxAsyncLateTicks));
-        }
-    }
-    if (!asyncEngine_)
-        asyncEngine_ = std::make_unique<AsyncDiskEngine>();
-    ab.job = asyncEngine_->submit(std::move(copies));
-    ab.pending = true;
-    vm.stats.asyncDiskBatches++;
-    return true;
-}
-
-void
-Hypervisor::applyAsyncDiskCompletion(VirtualMachine &vm, bool bounded)
-{
-    using namespace kcallabi;
-    VirtualMachine::AsyncDiskBatch &ab = vm.asyncBatch;
-    if (!ab.pending)
-        return;
-    // The engine usually finished long ago; a forced drain may block
-    // here, but only on host copy latency - never on guest state.
-    if (bounded) {
-        // Shutdown paths only (haltVm, ~Hypervisor): give up after
-        // the configured timeout rather than wedge on a stuck worker.
-        // The batch stays pending and its staging stays alive, so the
-        // in-flight copies keep valid targets until the engine is
-        // joined; nothing guest-visible was mutated.
-        if (!asyncEngine_->waitFor(
-                ab.job, std::chrono::milliseconds(
-                            config_.asyncDiskDrainTimeoutMs)))
-            return;
-    } else {
-        asyncEngine_->wait(ab.job);
-    }
-
-    std::size_t off = 0;
-    for (Longword i = 0; i < ab.nDesc; ++i) {
-        const Byte *d = ab.descs.data() + i * kBatchDescriptorBytes;
-        Longword block, count, vm_pa, flags;
-        std::memcpy(&block, d + kBatchDescBlock, 4);
-        std::memcpy(&count, d + kBatchDescCount, 4);
-        std::memcpy(&vm_pa, d + kBatchDescVmPa, 4);
-        std::memcpy(&flags, d + kBatchDescFlags, 4);
-        (void)block;
-        if (ab.status[i] == kBatchStatusOk) {
-            const std::size_t bytes = static_cast<std::size_t>(count) * 512;
-            if ((flags & kBatchFlagWrite) == 0) {
-                // Read data reaches guest memory through the store
-                // funnel so page generations bump exactly as a
-                // synchronous batch would (SMC/DMA safety).
-                mem_.writeBlock(vm.vmPhysToReal(vm_pa),
-                                {ab.staging.data() + off,
-                                 static_cast<Longword>(bytes)});
-            }
-            off += bytes;
-        }
-        // Post the per-descriptor status (kcall.h): guest bits 15:0
-        // come from the snapshot, so a transfer that clobbered its
-        // own ring cannot forge a completion word.
-        mem_.write32(vm.vmPhysToReal(ab.ring + i * kBatchDescriptorBytes +
-                                     kBatchDescFlags),
-                     (flags & ~kBatchStatusMask) |
-                         (ab.status[i] << kBatchStatusShift));
-    }
-
-    charge(CycleCategory::VmmIo,
-           machine_.costModel().vmmAsyncDiskCompletion);
-    vm.lastDiskOpFailed = !ab.allOk;
-    vm.stats.asyncDiskCompletions++;
-    ab.pending = false;
-    ab.staging.clear();
-    vm.postInterrupt(kDiskIpl, kDiskVector);
-    if (currentVm_ == vm.id())
-        updatePendingIplHint(vm);
-}
-
-void
-Hypervisor::drainAsyncDisk(VirtualMachine &vm, bool bounded)
-{
-    if (vm.asyncBatch.pending)
-        applyAsyncDiskCompletion(vm, bounded);
 }
 
 void

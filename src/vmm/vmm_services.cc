@@ -228,10 +228,6 @@ Hypervisor::kcall(VirtualMachine &vm, Longword function)
       case kcallabi::kDiskWrite: {
         vm.stats.kcallIos++;
         vm.watchdogTicks = 0; // a hypercall is forward progress
-        // A pending async batch completes first: its result must be
-        // visible (including lastDiskOpFailed for the retry counter)
-        // before this operation's outcome overwrites it.
-        drainAsyncDisk(vm);
         if (vm.lastDiskOpFailed) {
             vm.stats.diskRetries++;
             machine_.stats().diskRetries++;
@@ -259,30 +255,12 @@ Hypervisor::kcall(VirtualMachine &vm, Longword function)
         vm.stats.kcallIos++;
         vm.stats.diskKcallBatches++;
         vm.watchdogTicks = 0;
-        drainAsyncDisk(vm); // serialize against an unapplied batch
         if (vm.lastDiskOpFailed) {
             vm.stats.diskRetries++;
             machine_.stats().diskRetries++;
         }
         charge(CycleCategory::VmmIo,
                cost.vmmKcallIo + cost.vmmKcallDescriptor * n_charge);
-        if (config_.asyncDiskIo) {
-            // Asynchronous service: R0 acknowledges the submission,
-            // statuses and the interrupt land at the due tick.  A
-            // malformed ring still fails synchronously - there is
-            // nothing to overlap.
-            const bool accepted =
-                submitAsyncDiskBatch(vm, cpu_.reg(R1), n);
-            if (accepted) {
-                cpu_.setReg(R0, kcallabi::kOk);
-                return;
-            }
-            vm.lastDiskOpFailed = true;
-            cpu_.setReg(R0, kcallabi::kError);
-            vm.postInterrupt(kcallabi::kDiskIpl, kcallabi::kDiskVector);
-            updatePendingIplHint(vm);
-            return;
-        }
         const bool ok = vmDiskTransferBatch(vm, cpu_.reg(R1), n);
         vm.lastDiskOpFailed = !ok;
         cpu_.setReg(R0, ok ? kcallabi::kOk : kcallabi::kError);
@@ -293,11 +271,8 @@ Hypervisor::kcall(VirtualMachine &vm, Longword function)
       case kcallabi::kQueryFeatures: {
         charge(CycleCategory::VmmEmulation, cost.vmmMtprMisc);
         Longword features = 0;
-        if (config_.diskBatchKcall) {
+        if (config_.diskBatchKcall)
             features |= kcallabi::kFeatureDiskBatch;
-            if (config_.asyncDiskIo)
-                features |= kcallabi::kFeatureDiskAsync;
-        }
         cpu_.setReg(R0, features);
         return;
       }

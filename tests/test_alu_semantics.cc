@@ -508,9 +508,9 @@ struct Spec
     Opcode op;
     std::vector<Byte> regs; //!< register operands, in order
     Form form = Form::Plain;
-    /** Operand emitted as #value in the hot loop (the fused
-     *  immediate shapes), or -1. */
-    int imm = -1;
+    /** Operands emitted as #value in the hot loop (the fused
+     *  immediate shapes), as a mask: bit i is operand i. */
+    unsigned imm = 0;
     /** The hot loop's shape has a fused handler in the threaded
      *  driver, so it must not replay through L_Generic. */
     bool fused = false;
@@ -588,14 +588,19 @@ inputsOf(Opcode op, bool hot_loop)
     }
 }
 
-/** The register whose value the hot loop bakes into its code (an
- *  immediate operand or the CASE limit), or -1. */
-int
-bakedReg(const Spec &s)
+/** The registers whose values the hot loop bakes into its code (the
+ *  immediate operands or the CASE limit). */
+std::vector<Byte>
+bakedRegs(const Spec &s)
 {
-    if (s.imm >= 0)
-        return s.regs[static_cast<std::size_t>(s.imm)];
-    return s.form == Form::Case ? R2 : -1;
+    std::vector<Byte> regs;
+    for (std::size_t i = 0; i < s.regs.size(); ++i) {
+        if ((s.imm >> i) & 1)
+            regs.push_back(s.regs[i]);
+    }
+    if (s.form == Form::Case)
+        regs.push_back(R2);
+    return regs;
 }
 
 /**
@@ -607,6 +612,7 @@ std::vector<In>
 rowsFor(const Spec &s, bool hot_loop)
 {
     const auto inputs = inputsOf(s.op, hot_loop);
+    const auto baked = bakedRegs(s);
     In base;
     for (std::size_t i = 0; i < base.r.size(); ++i)
         base.r[i] = 0xC0DE0000u + static_cast<Longword>(i);
@@ -640,7 +646,9 @@ rowsFor(const Spec &s, bool hot_loop)
             // A baked register keeps to its values: every new value
             // is another copy of the loop.
             const bool pick =
-                in.closed || (hot_loop && in.reg == bakedReg(s));
+                in.closed ||
+                (hot_loop && std::find(baked.begin(), baked.end(),
+                                       in.reg) != baked.end());
             r.r[in.reg] = pick ? in.values[rng() % in.values.size()]
                                : static_cast<Longword>(rng());
         }
@@ -651,16 +659,17 @@ rowsFor(const Spec &s, bool hot_loop)
     return out;
 }
 
-/** Emit the instruction under test; @p imm_value replaces the
- *  spec's immediate operand, and @p target is the branch target. */
+/** Emit the instruction under test; with @p baked, the spec's
+ *  immediate operands take their values from that row, and @p target
+ *  is the branch target. */
 void
-emitUnderTest(CodeBuilder &b, const Spec &s, bool with_imm,
-              Longword imm_value, Label target)
+emitUnderTest(CodeBuilder &b, const Spec &s, const In *baked,
+              Label target)
 {
     std::vector<Op> ops;
     for (std::size_t i = 0; i < s.regs.size(); ++i) {
-        if (with_imm && static_cast<int>(i) == s.imm)
-            ops.push_back(Op::imm(imm_value));
+        if (baked != nullptr && ((s.imm >> i) & 1))
+            ops.push_back(Op::imm(baked->r[s.regs[i]]));
         else if (i == 0 && takesAddress(s.op))
             ops.push_back(Op::deferred(s.regs[i]));
         else
@@ -739,7 +748,7 @@ stepSweep(const Spec &s, const std::vector<In> &rows, ExecTier tier)
     m.cpu().setExecTier(tier);
     CodeBuilder b(kStepCode);
     const Label target = b.newLabel();
-    emitUnderTest(b, s, false, 0, target);
+    emitUnderTest(b, s, nullptr, target);
     const VirtAddr next = b.here();
     if (s.form == Form::Case) {
         for (const Word w : kStepTable)
@@ -836,18 +845,20 @@ struct LoopRun
     Stats stats;
 };
 
-/** Rows sharing the value of the register the hot loop bakes into
- *  the code (an immediate operand or the CASE limit). */
+/** Rows sharing the values of the registers the hot loop bakes into
+ *  the code (the immediate operands or the CASE limit). */
 std::vector<std::vector<In>>
 groupRows(const Spec &s, const std::vector<In> &rows)
 {
-    const int key = bakedReg(s);
-    if (key < 0)
+    const auto baked = bakedRegs(s);
+    if (baked.empty())
         return {rows};
     std::vector<std::vector<In>> groups;
-    std::vector<Longword> keys;
+    std::vector<std::vector<Longword>> keys;
     for (const In &in : rows) {
-        const Longword k = in.r[static_cast<std::size_t>(key)];
+        std::vector<Longword> k;
+        for (const Byte reg : baked)
+            k.push_back(in.r[reg]);
         const auto it = std::find(keys.begin(), keys.end(), k);
         if (it == keys.end()) {
             keys.push_back(k);
@@ -899,10 +910,7 @@ hotLoopProgram(const Spec &s, const std::vector<std::vector<In>> &groups)
         b.bicpsw(Op::lit(Psl::kIv | Psl::kCcMask));
         b.bispsw(Op::disp(-4, R6));
         const Label taken = b.newLabel();
-        const Longword imm_value =
-            s.imm >= 0 ? first.r[s.regs[static_cast<std::size_t>(s.imm)]]
-                       : 0;
-        emitUnderTest(b, s, s.imm >= 0, imm_value, taken);
+        emitUnderTest(b, s, &first, taken);
         if (s.form == Form::Case) {
             const VirtAddr base = b.here();
             for (const VirtAddr stub : stubs)
@@ -1014,8 +1022,8 @@ specs()
     static const std::vector<Spec> kSpecs = {
         {"MOVB", O::MOVB, {R0, R1}},
         {"MOVW", O::MOVW, {R0, R1}},
-        {"MOVL", O::MOVL, {R0, R1}, Form::Plain, -1, true},
-        {"MOVL #", O::MOVL, {R0, R1}, Form::Plain, 0, true},
+        {"MOVL", O::MOVL, {R0, R1}, Form::Plain, 0, true},
+        {"MOVL #", O::MOVL, {R0, R1}, Form::Plain, 1, true},
         {"MOVZBL", O::MOVZBL, {R0, R1}},
         {"MOVZWL", O::MOVZWL, {R0, R1}},
         {"MOVAB", O::MOVAB, {R0, R1}},
@@ -1025,55 +1033,56 @@ specs()
         {"MOVQ", O::MOVQ, {R0, R2}},
         {"CLRB", O::CLRB, {R1}},
         {"CLRW", O::CLRW, {R1}},
-        {"CLRL", O::CLRL, {R1}, Form::Plain, -1, true},
+        {"CLRL", O::CLRL, {R1}, Form::Plain, 0, true},
         {"CLRQ", O::CLRQ, {R2}},
         {"CVTBL", O::CVTBL, {R0, R1}},
         {"CVTWL", O::CVTWL, {R0, R1}},
         {"TSTB", O::TSTB, {R0}},
         {"TSTW", O::TSTW, {R0}},
-        {"TSTL", O::TSTL, {R0}, Form::Plain, -1, true},
+        {"TSTL", O::TSTL, {R0}, Form::Plain, 0, true},
         {"CMPB", O::CMPB, {R0, R1}},
         {"CMPW", O::CMPW, {R0, R1}},
-        {"CMPL", O::CMPL, {R0, R1}, Form::Plain, -1, true},
-        {"CMPL #,R", O::CMPL, {R0, R1}, Form::Plain, 0, true},
-        {"CMPL R,#", O::CMPL, {R0, R1}, Form::Plain, 1, true},
+        {"CMPL", O::CMPL, {R0, R1}, Form::Plain, 0, true},
+        {"CMPL #,R", O::CMPL, {R0, R1}, Form::Plain, 1, true},
+        {"CMPL R,#", O::CMPL, {R0, R1}, Form::Plain, 2, true},
+        {"CMPL #,#", O::CMPL, {R0, R1}, Form::Plain, 3},
         {"MCOML", O::MCOML, {R0, R1}},
-        {"BISL2", O::BISL2, {R0, R1}, Form::Plain, -1, true},
-        {"BISL2 #", O::BISL2, {R0, R1}, Form::Plain, 0, true},
+        {"BISL2", O::BISL2, {R0, R1}, Form::Plain, 0, true},
+        {"BISL2 #", O::BISL2, {R0, R1}, Form::Plain, 1, true},
         {"BISL3", O::BISL3, {R0, R1, R2}},
-        {"BICL2", O::BICL2, {R0, R1}, Form::Plain, -1, true},
-        {"BICL2 #", O::BICL2, {R0, R1}, Form::Plain, 0, true},
+        {"BICL2", O::BICL2, {R0, R1}, Form::Plain, 0, true},
+        {"BICL2 #", O::BICL2, {R0, R1}, Form::Plain, 1, true},
         {"BICL3", O::BICL3, {R0, R1, R2}},
-        {"BICL3 #", O::BICL3, {R0, R1, R2}, Form::Plain, 0, true},
-        {"XORL2", O::XORL2, {R0, R1}, Form::Plain, -1, true},
-        {"XORL2 #", O::XORL2, {R0, R1}, Form::Plain, 0, true},
+        {"BICL3 #", O::BICL3, {R0, R1, R2}, Form::Plain, 1, true},
+        {"XORL2", O::XORL2, {R0, R1}, Form::Plain, 0, true},
+        {"XORL2 #", O::XORL2, {R0, R1}, Form::Plain, 1, true},
         {"XORL3", O::XORL3, {R0, R1, R2}},
         {"ROTL", O::ROTL, {R0, R1, R2}},
-        {"ADDL2", O::ADDL2, {R0, R1}, Form::Plain, -1, true},
-        {"ADDL2 #", O::ADDL2, {R0, R1}, Form::Plain, 0, true},
+        {"ADDL2", O::ADDL2, {R0, R1}, Form::Plain, 0, true},
+        {"ADDL2 #", O::ADDL2, {R0, R1}, Form::Plain, 1, true},
         {"ADDL3", O::ADDL3, {R0, R1, R2}},
-        {"SUBL2", O::SUBL2, {R0, R1}, Form::Plain, -1, true},
-        {"SUBL2 #", O::SUBL2, {R0, R1}, Form::Plain, 0, true},
+        {"SUBL2", O::SUBL2, {R0, R1}, Form::Plain, 0, true},
+        {"SUBL2 #", O::SUBL2, {R0, R1}, Form::Plain, 1, true},
         {"SUBL3", O::SUBL3, {R0, R1, R2}},
-        {"INCL", O::INCL, {R1}, Form::Plain, -1, true},
-        {"DECL", O::DECL, {R1}, Form::Plain, -1, true},
+        {"INCL", O::INCL, {R1}, Form::Plain, 0, true},
+        {"DECL", O::DECL, {R1}, Form::Plain, 0, true},
         {"ADWC", O::ADWC, {R0, R1}},
         {"SBWC", O::SBWC, {R0, R1}},
         {"MNEGL", O::MNEGL, {R0, R1}},
-        {"MULL2", O::MULL2, {R0, R1}, Form::Plain, -1, true},
-        {"MULL2 #", O::MULL2, {R0, R1}, Form::Plain, 0, true},
+        {"MULL2", O::MULL2, {R0, R1}, Form::Plain, 0, true},
+        {"MULL2 #", O::MULL2, {R0, R1}, Form::Plain, 1, true},
         {"MULL3", O::MULL3, {R0, R1, R2}},
-        {"DIVL2", O::DIVL2, {R0, R1}, Form::Plain, -1, true},
-        {"DIVL2 #", O::DIVL2, {R0, R1}, Form::Plain, 0, true},
+        {"DIVL2", O::DIVL2, {R0, R1}, Form::Plain, 0, true},
+        {"DIVL2 #", O::DIVL2, {R0, R1}, Form::Plain, 1, true},
         {"DIVL3", O::DIVL3, {R0, R1, R2}},
         {"ASHL", O::ASHL, {R0, R1, R2}},
-        {"ASHL #", O::ASHL, {R0, R1, R2}, Form::Plain, 0, true},
+        {"ASHL #", O::ASHL, {R0, R1, R2}, Form::Plain, 1, true},
         {"EMUL", O::EMUL, {R0, R1, R2, R4}},
         {"EDIV", O::EDIV, {R0, R2, R4, R5}},
         {"AOBLSS", O::AOBLSS, {R0, R1}, Form::Branch},
         {"AOBLEQ", O::AOBLEQ, {R0, R1}, Form::Branch},
-        {"SOBGEQ", O::SOBGEQ, {R1}, Form::Branch, -1, true},
-        {"SOBGTR", O::SOBGTR, {R1}, Form::Branch, -1, true},
+        {"SOBGEQ", O::SOBGEQ, {R1}, Form::Branch, 0, true},
+        {"SOBGTR", O::SOBGTR, {R1}, Form::Branch, 0, true},
         {"CASEB", O::CASEB, {R0, R1, R2}, Form::Case},
         {"CASEW", O::CASEW, {R0, R1, R2}, Form::Case},
         {"CASEL", O::CASEL, {R0, R1, R2}, Form::Case},

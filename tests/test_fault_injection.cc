@@ -73,6 +73,12 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs)
     std::string error;
     EXPECT_FALSE(FaultPlan::parse("gamma-ray:every=2", &plan, &error));
     EXPECT_NE(error.find("unknown class"), std::string::npos) << error;
+    // Retired classes fail loudly: a sweep still naming one must not
+    // pass with the rule silently dropped.
+    for (const char *retired : {"async-late:every=2", "async-corrupt:at=0"}) {
+        EXPECT_FALSE(FaultPlan::parse(retired, &plan, &error)) << retired;
+        EXPECT_NE(error.find("unknown class"), std::string::npos) << error;
+    }
     EXPECT_FALSE(FaultPlan::parse("ecc:flux=3", &plan, &error));
     EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
     EXPECT_FALSE(FaultPlan::parse("ecc:every=banana", &plan, &error));
@@ -82,48 +88,42 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs)
     EXPECT_TRUE(FaultPlan::parse(";;ecc:every=4;;", &plan, &error));
 }
 
-TEST(FaultPlanSpec, ParsesTheAsyncEraClasses)
+TEST(FaultPlanSpec, ParsesTheHostSideClasses)
 {
-    // The async/fork-era classes added with crash-only supervision
-    // (docs/ARCHITECTURE.md §6): late and corrupted async batch
-    // completions, delayed cross-thread mailbox delivery, and host
-    // allocation failure during golden-image sealing/forking.
+    // The classes added with crash-only supervision
+    // (docs/ARCHITECTURE.md §6): delayed cross-thread mailbox delivery
+    // and host allocation failure during golden-image sealing/forking.
     FaultPlan plan;
     std::string error;
     ASSERT_TRUE(FaultPlan::parse(
-        "seed=3;async-late:every=2;async-corrupt:vm=1,every=5;"
-        "mailbox-delay:prob=128;host-alloc:at=0",
-        &plan, &error))
+        "seed=3;mailbox-delay:vm=1,prob=128;host-alloc:at=0", &plan,
+        &error))
         << error;
-    ASSERT_EQ(plan.rules().size(), 4u);
-    EXPECT_EQ(plan.rules()[0].cls, FaultClass::AsyncLate);
-    EXPECT_EQ(plan.rules()[0].every, 2u);
-    EXPECT_EQ(plan.rules()[1].cls, FaultClass::AsyncCorrupt);
-    EXPECT_EQ(plan.rules()[1].vmId, 1);
-    EXPECT_EQ(plan.rules()[2].cls, FaultClass::MailboxDelay);
-    EXPECT_EQ(plan.rules()[2].prob, 128u);
-    EXPECT_EQ(plan.rules()[3].cls, FaultClass::HostAlloc);
-    EXPECT_EQ(plan.rules()[3].at, 0u);
+    ASSERT_EQ(plan.rules().size(), 2u);
+    EXPECT_EQ(plan.rules()[0].cls, FaultClass::MailboxDelay);
+    EXPECT_EQ(plan.rules()[0].vmId, 1);
+    EXPECT_EQ(plan.rules()[0].prob, 128u);
+    EXPECT_EQ(plan.rules()[1].cls, FaultClass::HostAlloc);
+    EXPECT_EQ(plan.rules()[1].at, 0u);
 }
 
 TEST(FaultPlanRules, DelayTicksAreBoundedAndSeedDeterministic)
 {
-    // delayTicks picks how far a late completion or held mailbox
-    // entry slips: always in [1, max], a pure function of
-    // (seed, class, vm, ordinal), and decorrelated from the fire/
-    // no-fire decision on the same ordinal.
+    // delayTicks picks how far a held mailbox entry slips: always in
+    // [1, max], a pure function of (seed, class, vm, ordinal), and
+    // decorrelated from the fire/no-fire decision on the same ordinal.
     FaultPlan a(42), b(42), c(43);
     bool varied = false;
     for (std::uint64_t ord = 0; ord < 256; ++ord) {
-        const std::uint64_t d = a.delayTicks(FaultClass::AsyncLate, 0,
-                                             ord, kMaxAsyncLateTicks);
+        const std::uint64_t d = a.delayTicks(FaultClass::MailboxDelay, 0,
+                                             ord, kMaxMailboxDelayTicks);
         EXPECT_GE(d, 1u);
-        EXPECT_LE(d, kMaxAsyncLateTicks);
-        EXPECT_EQ(d, b.delayTicks(FaultClass::AsyncLate, 0, ord,
-                                  kMaxAsyncLateTicks))
+        EXPECT_LE(d, kMaxMailboxDelayTicks);
+        EXPECT_EQ(d, b.delayTicks(FaultClass::MailboxDelay, 0, ord,
+                                  kMaxMailboxDelayTicks))
             << "same seed, same slip";
-        if (d != c.delayTicks(FaultClass::AsyncLate, 0, ord,
-                              kMaxAsyncLateTicks))
+        if (d != c.delayTicks(FaultClass::MailboxDelay, 0, ord,
+                              kMaxMailboxDelayTicks))
             varied = true;
     }
     EXPECT_TRUE(varied) << "the seed must matter";
@@ -459,6 +459,45 @@ TEST(GuestDegradation, MiniVmsRetriesTransientDiskFaults)
     EXPECT_GT(m.stats().diskRetries, 0u)
         << "the VMM saw the re-issued KCALLs";
     EXPECT_GT(vm.stats.faultedDiskOps, 0u);
+}
+
+TEST(GuestDegradation, MiniVmsFallsBackFromTornBatches)
+{
+    // MiniVMS posts its transfers through one-descriptor kDiskBatch
+    // rings; a torn ring leaves its descriptor kBatchStatusNone and
+    // the driver re-issues it through the single-transfer KCALL.
+    MachineConfig mc;
+    mc.ramBytes = 16 * 1024 * 1024;
+    mc.level = MicrocodeLevel::Modified;
+    RealMachine m(mc);
+    FaultPlan plan(31);
+    std::string error;
+    ASSERT_TRUE(FaultPlan::parse("seed=31;torn:every=2", &plan, &error))
+        << error;
+    m.setFaultPlan(&plan);
+
+    HypervisorConfig hc;
+    hc.tickCycles = 2000;
+    hc.ticksPerQuantum = 2;
+    Hypervisor hv(m, hc);
+    MiniVmsConfig cfg = smallDiskHeavyVms();
+    VmConfig vc;
+    vc.memBytes = cfg.memBytes;
+    VirtualMachine &vm = hv.createVm(vc);
+    MiniVmsImage img = buildMiniVms(cfg);
+    hv.loadVmImage(vm, 0, img.image);
+    hv.startVm(vm, img.entry);
+    hv.run(400000000);
+
+    EXPECT_EQ(m.memory().read32(vm.vmPhysToReal(img.resultBase)),
+              MiniVmsImage::kResultMagic)
+        << "a torn batch must degrade, not wedge the driver";
+    EXPECT_GT(m.memory().read32(vm.vmPhysToReal(img.resultBase + 16)), 0u)
+        << "the driver re-issued torn descriptors individually";
+    EXPECT_GT(m.stats().faultsInjected[static_cast<int>(
+                  FaultClass::TornBatch)],
+              0u);
+    EXPECT_GT(vm.stats.diskKcallBatches, 0u);
 }
 
 TEST(GuestDegradation, MiniUltrixRetriesTransientDiskFaults)
@@ -799,74 +838,6 @@ TEST(FaultDeterminism, FastAndReferencePathsAgreeUnderFaults)
     EXPECT_TRUE(fast.stats == ref.stats)
         << "injected faults must stay inside the lockstep envelope";
     EXPECT_TRUE(fast == ref);
-}
-
-/** runFaultedMiniVms with the async disk engine on, for the
- *  async-era fault classes (their ordinals are batch counters). */
-FaultedRunOutcome
-runAsyncFaultedMiniVms(const FaultPlan *spec_plan)
-{
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    FaultPlan plan; // fresh per run: rules carry firing budgets
-    if (spec_plan != nullptr) {
-        plan = *spec_plan;
-        m.setFaultPlan(&plan);
-    }
-
-    HypervisorConfig hc;
-    hc.tickCycles = 2000;
-    hc.ticksPerQuantum = 2;
-    hc.asyncDiskIo = true;
-    Hypervisor hv(m, hc);
-    MiniVmsConfig cfg = mediumMixVms();
-    VmConfig vc;
-    vc.memBytes = cfg.memBytes;
-    VirtualMachine &vm = hv.createVm(vc);
-    MiniVmsImage img = buildMiniVms(cfg);
-    hv.loadVmImage(vm, 0, img.image);
-    hv.startVm(vm, img.entry);
-    hv.run(400000000);
-
-    FaultedRunOutcome out;
-    out.stats = m.stats();
-    out.vmMemory = vmMemoryDigest(m, vm);
-    out.vmDisk = fnv1a(vm.disk);
-    out.console = vm.console.output();
-    out.magic = m.memory().read32(vm.vmPhysToReal(img.resultBase));
-    out.guestRetries =
-        m.memory().read32(vm.vmPhysToReal(img.resultBase + 16));
-    out.guestMchecks =
-        m.memory().read32(vm.vmPhysToReal(img.resultBase + 20));
-    return out;
-}
-
-TEST(FaultDeterminism, AsyncEraClassesFireAndReproduceBitForBit)
-{
-    FaultPlan plan(53);
-    std::string error;
-    ASSERT_TRUE(FaultPlan::parse(
-        "seed=53;async-late:every=2;async-corrupt:every=5", &plan,
-        &error))
-        << error;
-    const FaultedRunOutcome a = runAsyncFaultedMiniVms(&plan);
-    const FaultedRunOutcome b = runAsyncFaultedMiniVms(&plan);
-
-    EXPECT_EQ(a.magic, MiniVmsImage::kResultMagic)
-        << "late and corrupted completions must degrade, not wedge";
-    EXPECT_GT(a.stats.faultsInjected[static_cast<int>(
-                  FaultClass::AsyncLate)],
-              0u);
-    EXPECT_GT(a.stats.faultsInjected[static_cast<int>(
-                  FaultClass::AsyncCorrupt)],
-              0u);
-    EXPECT_GT(a.guestRetries, 0u)
-        << "a corrupted batch falls back to per-descriptor retries";
-    EXPECT_TRUE(a.stats == b.stats)
-        << "batch-ordinal keying makes the classes reproducible";
-    EXPECT_TRUE(a == b) << "memory, disk and console too";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,13 @@
 /**
  * @file
  * Parallel hypervisor tests: the HypervisorFleet worker pool
- * (vmm/fleet.h) and asynchronous kDiskBatch completions
- * (vmm/async_disk.h, docs/ARCHITECTURE.md §7).
+ * (vmm/fleet.h, docs/ARCHITECTURE.md §7).
  *
- * The headline property is the determinism contract of this PR: an
+ * The headline property is the fleet's determinism contract: an
  * N-worker fleet run retires exactly the same per-VM instruction
  * stream as a 1-worker run, so per-VM memory, disk and console
  * digests - and per-VM stats - are bit-identical across worker
- * counts, including under deterministic fault injection and with
- * asynchronous disk I/O enabled.  Async completions are likewise
- * keyed on virtual time only, so sync and async runs agree on every
- * guest-visible byte and repeated async runs agree bit for bit.
+ * counts, including under deterministic fault injection.
  *
  * The FleetSweep.* tests additionally honour VVAX_FAULT_PLAN, which
  * scripts/run_all.sh sets to sweep seeds (including a TSan tree).
@@ -20,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -35,7 +30,6 @@
 #include "tests/harness.h"
 #include "vmm/fleet.h"
 #include "vmm/hypervisor.h"
-#include "vmm/kcall.h"
 
 namespace vvax {
 namespace {
@@ -164,10 +158,7 @@ TEST(StatsMerge, MachineStatsOperatorSumsCounters)
 #undef VVAX_TEST_RETIRE
 }
 
-// ---------------------------------------------------------------------------
-// Asynchronous disk batches (single hypervisor)
-// ---------------------------------------------------------------------------
-
+/** The disk-heavy MiniVMS mix most fleets here are built from. */
 MiniVmsConfig
 diskHeavyVms()
 {
@@ -177,94 +168,6 @@ diskHeavyVms()
     cfg.iterations = 6;
     cfg.dataPagesPerProcess = 8;
     return cfg;
-}
-
-/** Guest-visible outcome of a virtualized MiniVMS run. */
-struct GuestOutcome
-{
-    std::uint64_t vmMemory = 0;
-    std::uint64_t vmDisk = 0;
-    std::string console;
-    Longword magic = 0;
-    Longword guestRetries = 0;
-    VmStats vmStats;
-    Stats stats;
-
-    bool operator==(const GuestOutcome &other) const = default;
-};
-
-GuestOutcome
-runMiniVms(bool async, const FaultPlan *spec_plan = nullptr,
-           bool reference = false)
-{
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    FaultPlan plan; // fresh per run: rules carry firing budgets
-    if (spec_plan != nullptr) {
-        plan = *spec_plan;
-        m.setFaultPlan(&plan);
-    }
-
-    HypervisorConfig hc;
-    hc.tickCycles = 2000;
-    hc.ticksPerQuantum = 2;
-    hc.asyncDiskIo = async;
-    Hypervisor hv(m, hc);
-    MiniVmsConfig cfg = diskHeavyVms();
-    VmConfig vc;
-    vc.memBytes = cfg.memBytes;
-    VirtualMachine &vm = hv.createVm(vc);
-    MiniVmsImage img = buildMiniVms(cfg);
-    hv.loadVmImage(vm, 0, img.image);
-    hv.startVm(vm, img.entry);
-    hv.run(400000000);
-
-    GuestOutcome out;
-    out.vmMemory = vmMemoryDigest(m, vm);
-    out.vmDisk = fnv1a(vm.disk);
-    out.console = vm.console.output();
-    out.magic = m.memory().read32(vm.vmPhysToReal(img.resultBase));
-    out.guestRetries =
-        m.memory().read32(vm.vmPhysToReal(img.resultBase + 16));
-    out.vmStats = vm.stats;
-    out.stats = m.stats();
-    return out;
-}
-
-TEST(AsyncDisk, SyncAndAsyncRunsAgreeOnEveryGuestVisibleByte)
-{
-    const GuestOutcome sync = runMiniVms(false);
-    const GuestOutcome async = runMiniVms(true);
-    ASSERT_EQ(sync.magic, MiniVmsImage::kResultMagic);
-    ASSERT_EQ(async.magic, MiniVmsImage::kResultMagic);
-    EXPECT_GT(async.vmStats.asyncDiskBatches, 0u)
-        << "the driver must actually take the async path";
-    EXPECT_EQ(async.vmStats.asyncDiskBatches,
-              async.vmStats.asyncDiskCompletions)
-        << "every submitted batch must complete";
-    EXPECT_EQ(sync.vmStats.asyncDiskBatches, 0u);
-    // Guest data is identical; memory digests legitimately differ
-    // because async completion adds latency ticks, shifting the
-    // virtual clock values the guest records (tick counters,
-    // scheduler state).  Data integrity - the disk image, the
-    // console transcript, the driver's retry counter - must match.
-    EXPECT_EQ(sync.vmDisk, async.vmDisk);
-    EXPECT_EQ(sync.console, async.console);
-    EXPECT_EQ(sync.guestRetries, async.guestRetries);
-}
-
-TEST(AsyncDisk, RepeatedAsyncRunsAreBitIdentical)
-{
-    const GuestOutcome a = runMiniVms(true);
-    const GuestOutcome b = runMiniVms(true);
-    EXPECT_EQ(a.magic, MiniVmsImage::kResultMagic);
-    EXPECT_GT(a.vmStats.asyncDiskBatches, 0u);
-    EXPECT_TRUE(a == b)
-        << "async completion timing is virtual, so runs reproduce "
-           "bit for bit";
 }
 
 FaultPlan
@@ -278,115 +181,6 @@ aggressivePlan()
         &plan, &error))
         << error;
     return plan;
-}
-
-TEST(AsyncDisk, FastAndReferencePathsAgreeUnderFaults)
-{
-    const FaultPlan plan = aggressivePlan();
-    const GuestOutcome fast = runMiniVms(true, &plan, false);
-    const GuestOutcome ref = runMiniVms(true, &plan, true);
-    EXPECT_EQ(fast.magic, MiniVmsImage::kResultMagic);
-    EXPECT_TRUE(fast == ref)
-        << "async I/O must stay inside the lockstep envelope";
-}
-
-TEST(AsyncDisk, FaultedBatchDegradesToGuestRetry)
-{
-    FaultPlan plan(31);
-    std::string error;
-    ASSERT_TRUE(
-        FaultPlan::parse("seed=31;torn:every=2", &plan, &error))
-        << error;
-    const GuestOutcome out = runMiniVms(true, &plan);
-    EXPECT_EQ(out.magic, MiniVmsImage::kResultMagic)
-        << "a torn async batch must degrade, not wedge the poll loop";
-    EXPECT_GT(out.guestRetries, 0u)
-        << "the driver re-issued torn descriptors individually";
-    EXPECT_GT(out.stats.faultsInjected[static_cast<int>(
-                  FaultClass::TornBatch)],
-              0u);
-    EXPECT_GT(out.vmStats.asyncDiskBatches, 0u);
-}
-
-/** Hand-written guest that submits one async batch read and halts
- *  without polling: completion must be forced by the drain at the
- *  halt, not lost. */
-TEST(AsyncDisk, HaltDrainsAnInFlightBatch)
-{
-    using namespace kcallabi;
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    HypervisorConfig hc;
-    hc.asyncDiskIo = true;
-    hc.asyncDiskLatencyTicks = 1000000; // far past the guest's halt
-    Hypervisor hv(m, hc);
-    VirtualMachine &vm = hv.createVm(VmConfig{});
-
-    std::vector<Byte> block(512, 0xC3);
-    hv.loadVmDisk(vm, 4, block);
-
-    constexpr PhysAddr kRing = 0x4000;
-    constexpr PhysAddr kBuf = 0x5000;
-    CodeBuilder b(0x200);
-    b.movl(Op::imm(4), Op::abs(kRing + kBatchDescBlock));
-    b.movl(Op::imm(1), Op::abs(kRing + kBatchDescCount));
-    b.movl(Op::imm(kBuf), Op::abs(kRing + kBatchDescVmPa));
-    b.clrl(Op::abs(kRing + kBatchDescFlags)); // read, status None
-    b.movl(Op::imm(kRing), Op::reg(R1));
-    b.movl(Op::lit(1), Op::reg(R2));
-    b.mtpr(Op::lit(kDiskBatch), Ipr::KCALL);
-    b.movl(Op::reg(R0), Op::reg(R6)); // remember the submit status
-    b.halt();
-
-    auto image = b.finish();
-    hv.loadVmImage(vm, 0x200, image);
-    hv.startVm(vm, 0x200);
-    hv.run(1000000);
-
-    EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
-    EXPECT_EQ(m.cpu().reg(R6), static_cast<Longword>(kOk))
-        << "the submit itself was acknowledged";
-    EXPECT_EQ(vm.stats.asyncDiskBatches, 1u);
-    EXPECT_EQ(vm.stats.asyncDiskCompletions, 1u)
-        << "halting the VM drains the in-flight batch";
-    EXPECT_EQ(m.memory().read8(vm.vmPhysToReal(kBuf)), 0xC3u)
-        << "the read data landed before the VM wound down";
-    const Longword flags =
-        m.memory().read32(vm.vmPhysToReal(kRing + kBatchDescFlags));
-    EXPECT_EQ(flags >> kBatchStatusShift, kBatchStatusOk)
-        << "the terminal status was posted into the ring";
-}
-
-TEST(AsyncDisk, QueryFeaturesAdvertisesAsyncCompletion)
-{
-    using namespace kcallabi;
-    for (bool async : {false, true}) {
-        MachineConfig mc;
-        mc.ramBytes = 16 * 1024 * 1024;
-        mc.level = MicrocodeLevel::Modified;
-        RealMachine m(mc);
-        HypervisorConfig hc;
-        hc.asyncDiskIo = async;
-        Hypervisor hv(m, hc);
-        VirtualMachine &vm = hv.createVm(VmConfig{});
-
-        CodeBuilder b(0x200);
-        b.mtpr(Op::lit(kQueryFeatures), Ipr::KCALL);
-        b.movl(Op::reg(R0), Op::reg(R6));
-        b.halt();
-        auto image = b.finish();
-        hv.loadVmImage(vm, 0x200, image);
-        hv.startVm(vm, 0x200);
-        hv.run(1000000);
-
-        ASSERT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
-        const Longword features = m.cpu().reg(R6);
-        EXPECT_NE(features & kFeatureDiskBatch, 0u);
-        EXPECT_EQ((features & kFeatureDiskAsync) != 0, async)
-            << "bit 2 must track HypervisorConfig::asyncDiskIo";
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -416,7 +210,7 @@ struct FleetOutcome
 };
 
 /** Build the 4-VM mixed fleet: two MiniVMS mixes, one MiniUltrix,
- *  one disk-heavy MiniVMS - all with async disk I/O on. */
+ *  one disk-heavy MiniVMS. */
 FleetOutcome
 runMixedFleet(int workers,
               const std::vector<const FaultPlan *> *plans = nullptr,
@@ -429,7 +223,6 @@ runMixedFleet(int workers,
     fc.machine.level = MicrocodeLevel::Modified;
     fc.hypervisor.tickCycles = 2000;
     fc.hypervisor.ticksPerQuantum = 2;
-    fc.hypervisor.asyncDiskIo = true;
     HypervisorFleet fleet(fc);
 
     std::vector<PhysAddr> resultBase(4, 0);
@@ -516,8 +309,8 @@ TEST(FleetDeterminism, FourVmMixIsBitIdenticalAcrossWorkerCounts)
     const FleetOutcome two = runMixedFleet(2);
     const FleetOutcome four = runMixedFleet(4);
     ASSERT_EQ(one.members.size(), 4u);
-    EXPECT_GT(one.members[0].vmStats.asyncDiskBatches, 0u)
-        << "the mix must exercise async batches";
+    EXPECT_GT(one.members[0].vmStats.diskKcallBatches, 0u)
+        << "the mix must exercise kDiskBatch rings";
     for (std::size_t i = 0; i < one.members.size(); ++i) {
         EXPECT_TRUE(one.members[i] == four.members[i])
             << "member " << i
@@ -808,7 +601,6 @@ sealedMiniVmsImage(std::uint64_t boot_budget)
     HypervisorConfig hc;
     hc.tickCycles = 2000;
     hc.ticksPerQuantum = 2;
-    hc.asyncDiskIo = true;
     Hypervisor hv(m, hc);
     MiniVmsConfig cfg = diskHeavyVms();
     VmConfig vc;
@@ -1204,9 +996,13 @@ TEST(FleetSupervision, BarrierCowGaugesStayFreshAcrossRunSteps)
         fleet.addForkedMember(gold, 3);
         fleet.addForkedMember(crash, 1);
 
+        // Four steps of 600 instructions stay inside the forks' boot,
+        // where every step touches new pages (the members settle
+        // onto a fixed working set about 2.5k instructions in), so a
+        // stale gauge would show.
         Gauges steps;
         for (int step = 0; step < 4; ++step) {
-            fleet.run(1000);
+            fleet.run(600);
             std::uint64_t touched = 0;
             std::uint64_t private_bytes = 0;
             for (int i = 0; i < fleet.size(); ++i) {
@@ -1364,18 +1160,16 @@ TEST(FleetSupervision, ForkLineageKeepsFaultIdentityStable)
                "member index";
 }
 
-TEST(FleetSupervision, AsyncFaultClassesAreContainedAndWorkerInvariant)
+TEST(FleetSupervision, DiskFaultClassesAreContainedAndWorkerInvariant)
 {
     // The acceptance fleet: four supervised forks, the victim under
-    // the async-era fault classes, digests bit-identical across
-    // worker counts and the siblings untouched.
+    // torn batches and transient disk errors, digests bit-identical
+    // across worker counts and the siblings untouched.
     const GoldenImage gold = sealedMiniVmsImage(400);
     FaultPlan victim(41);
     std::string error;
     ASSERT_TRUE(FaultPlan::parse(
-        "seed=41;async-late:every=2;async-corrupt:every=5;"
-        "disk-transient:every=7",
-        &victim, &error))
+        "seed=41;torn:every=2;disk-transient:every=7", &victim, &error))
         << error;
     const std::vector<const FaultPlan *> plans = {&victim, nullptr,
                                                   nullptr, nullptr};
@@ -1389,21 +1183,21 @@ TEST(FleetSupervision, AsyncFaultClassesAreContainedAndWorkerInvariant)
         runSupervisedForkedFleet(4, gold, &clean);
 
     EXPECT_TRUE(f1 == f4 && f1 == f2)
-        << "async fault ordinals are per-VM architectural counters; "
+        << "disk fault ordinals are per-VM architectural counters; "
            "the worker count must be invisible";
     EXPECT_GT(f4.base.members[0].stats.faultsInjected[static_cast<int>(
-                  FaultClass::AsyncLate)],
+                  FaultClass::TornBatch)],
               0u)
-        << "the victim's late-completion rule must actually fire";
+        << "the victim's torn-batch rule must actually fire";
     EXPECT_GT(f4.base.members[0].stats.faultsInjected[static_cast<int>(
-                  FaultClass::AsyncCorrupt)],
+                  FaultClass::DiskTransient)],
               0u)
-        << "the victim's staging-corruption rule must actually fire";
+        << "the victim's transient-error rule must actually fire";
     for (std::size_t i = 1; i < 4; ++i) {
         EXPECT_TRUE(f4.base.members[i] == healthy.base.members[i])
             << "fork " << i
-            << ": async faults against fork 0 must not leak through "
-               "the shared image or the engine";
+            << ": disk faults against fork 0 must not leak through "
+               "the shared image";
         for (int c = 0; c < kNumFaultClasses; ++c)
             EXPECT_EQ(f4.base.members[i].stats.faultsInjected[c], 0u);
         EXPECT_EQ(f4.health[i], MemberHealth::Healthy) << "fork " << i;
@@ -1569,7 +1363,6 @@ TEST(FleetSweep, SupervisedFleetSurvivesTheEnvironmentPlan)
         fc.machine = gold.machineConfig();
         fc.hypervisor.tickCycles = 2000;
         fc.hypervisor.ticksPerQuantum = 2;
-        fc.hypervisor.asyncDiskIo = true;
         fc.fleetSupervision.enabled = true;
         HypervisorFleet fleet(fc);
         fleet.addForkedMember(gold, 3);
@@ -1618,69 +1411,6 @@ TEST(FleetSweep, SupervisedFleetSurvivesTheEnvironmentPlan)
     EXPECT_TRUE(one == four)
         << "recovery is keyed on rounds and per-member state, not "
            "threads";
-}
-
-// ---------------------------------------------------------------------------
-// Bounded async-disk drain on halt/teardown (satellite of §6d)
-// ---------------------------------------------------------------------------
-
-/** A wedged engine thread must not hang VM halt or fleet teardown:
- *  the halt-path drain gives up after asyncDiskDrainTimeoutMs and the
- *  hypervisor destructor joins the engine *before* the VMs (and their
- *  staging buffers) go away - ASan/TSan in the sweep tree watch the
- *  lifetime. */
-TEST(AsyncDisk, HaltAndTeardownDrainsAreBoundedUnderAStalledEngine)
-{
-    using namespace kcallabi;
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    VmStats before;
-    const auto start = std::chrono::steady_clock::now();
-    {
-        HypervisorConfig hc;
-        hc.asyncDiskIo = true;
-        hc.asyncDiskLatencyTicks = 1000000; // far past the guest's halt
-        hc.asyncDiskDrainTimeoutMs = 50;
-        Hypervisor hv(m, hc);
-        hv.stallAsyncDiskForTesting(std::chrono::milliseconds(400));
-        VirtualMachine &vm = hv.createVm(VmConfig{});
-
-        std::vector<Byte> block(512, 0xC3);
-        hv.loadVmDisk(vm, 4, block);
-
-        constexpr PhysAddr kRing = 0x4000;
-        constexpr PhysAddr kBuf = 0x5000;
-        CodeBuilder b(0x200);
-        b.movl(Op::imm(4), Op::abs(kRing + kBatchDescBlock));
-        b.movl(Op::imm(1), Op::abs(kRing + kBatchDescCount));
-        b.movl(Op::imm(kBuf), Op::abs(kRing + kBatchDescVmPa));
-        b.clrl(Op::abs(kRing + kBatchDescFlags));
-        b.movl(Op::imm(kRing), Op::reg(R1));
-        b.movl(Op::lit(1), Op::reg(R2));
-        b.mtpr(Op::lit(kDiskBatch), Ipr::KCALL);
-        b.halt();
-
-        auto image = b.finish();
-        hv.loadVmImage(vm, 0x200, image);
-        hv.startVm(vm, 0x200);
-        hv.run(1000000);
-
-        EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
-        EXPECT_EQ(vm.stats.asyncDiskBatches, 1u);
-        EXPECT_EQ(vm.stats.asyncDiskCompletions, 0u)
-            << "the halt drain must give up on the stalled job, not "
-               "spin forever";
-        before = vm.stats;
-    } // ~Hypervisor: bounded drain again, then engine join before VMs
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
-                  elapsed)
-                  .count(),
-              5000)
-        << "teardown waits out at most the stall, never indefinitely";
-    EXPECT_EQ(before.asyncDiskBatches, 1u);
 }
 
 } // namespace

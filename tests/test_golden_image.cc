@@ -102,7 +102,6 @@ goldenHvConfig()
     HypervisorConfig hc;
     hc.tickCycles = 2000;
     hc.ticksPerQuantum = 2;
-    hc.asyncDiskIo = true;
     return hc;
 }
 

@@ -4,7 +4,8 @@
  * timeout and wake-on-event, the uptime mailbox (Section 5's "the
  * VMM maintains system up time and stores it into the VMOS's
  * memory"), the virtual interval clock, virtual SID, the 730's
- * microcode IPL assist, and multi-model runs of the full guest.
+ * microcode IPL assist, multi-model runs of the full guest, and the
+ * KCALL feature mask.
  */
 
 #include <cstring>
@@ -342,6 +343,33 @@ TEST(VmmServices, IoResetClearsPendingInterrupts)
     EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
     EXPECT_EQ(vm.stats.virtualInterrupts, 0u);
     EXPECT_TRUE(vm.pendingInts.empty());
+}
+
+TEST(VmmServices, QueryFeaturesNeverSetsTheReservedBit)
+{
+    // kQueryFeatures advertises kDiskBatch and nothing else: bit 2 is
+    // reserved (kcall.h), with the batch KCALL on or off.
+    using namespace kcallabi;
+    for (const bool batch : {false, true}) {
+        HypervisorConfig hc;
+        hc.diskBatchKcall = batch;
+        VmRig rig(MachineModel::Vax8800, hc);
+        CodeBuilder b(0x200);
+        b.mtpr(Op::lit(kQueryFeatures), Ipr::KCALL);
+        b.movl(Op::reg(R0), Op::reg(R6));
+        b.halt();
+
+        VirtualMachine &vm = rig.hv.createVm(VmConfig{});
+        auto image = b.finish();
+        rig.hv.loadVmImage(vm, 0x200, image);
+        rig.hv.startVm(vm, 0x200);
+        rig.hv.run(1000000);
+
+        ASSERT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
+        const Longword features = rig.m.cpu().reg(R6);
+        EXPECT_EQ(features, batch ? Longword{kFeatureDiskBatch} : 0u);
+        EXPECT_EQ(features & 4u, 0u) << "bit 2 is reserved";
+    }
 }
 
 } // namespace

@@ -188,9 +188,7 @@ runSupervisedFleet(int forks, const char *golden,
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine machine(mc);
-    HypervisorConfig hc;
-    hc.asyncDiskIo = true;
-    Hypervisor hv(machine, hc);
+    Hypervisor hv(machine);
     VmConfig vc;
     vc.memBytes = 1024 * 1024;
     VirtAddr entry = origin;
@@ -238,7 +236,6 @@ runSupervisedFleet(int forks, const char *golden,
 
     FleetConfig fc;
     fc.machine = mc;
-    fc.hypervisor = hc;
     fc.workers = workers > 0 ? workers : 1;
     fc.fleetSupervision.enabled = true;
     HypervisorFleet fleet(fc);
