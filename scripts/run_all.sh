@@ -8,11 +8,11 @@ cmake -B build -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$(nproc)"
 # The whole suite once per host execution tier (VVAX_EXEC_TIER,
 # docs/ARCHITECTURE.md §5c): the lockstep digests must hold whether
-# code retires through the fast path alone or through superblocks
-# and the threaded driver.  The reference tier needs no pass of its
-# own - every equivalence test drives it internally as the baseline
-# half of its digest comparison.
-for tier in fast threaded; do
+# code retires through the reference interpreter, the fast path alone
+# or superblocks and the threaded driver.  The reference pass also
+# proves that a test pinning a tier with Cpu::setExecTier gets that
+# tier whatever the environment picked.
+for tier in ref fast threaded; do
     echo "=== ctest: VVAX_EXEC_TIER=$tier"
     env VVAX_EXEC_TIER="$tier" \
         ctest --test-dir build >"test_output_$tier.txt" 2>&1 ||

@@ -5,8 +5,10 @@
  *
  * buildBlock() walks the icache entries forward from a start PC,
  * validating each entry's recorded bytes against the live page, and
- * stops at the first control transfer (which may end the block) or
- * sensitive opcode (which may not enter it at all).  Each appended
+ * stops after the first control transfer or stopper.  A stopper is
+ * the block's final element: its bytes join the validated span, but
+ * the driver never runs it - runBlocks steps it through the
+ * interpreter once the driver completes the block.  Each driver
  * instruction is classified: the hottest opcode+addressing-mode pairs
  * get a fused BlockOp with its own handler in the driver
  * (threaded.cc); everything else keeps its full PredecodedInstr
@@ -27,11 +29,12 @@ namespace vvax {
 namespace {
 
 /**
- * Opcodes the block executor must never run: they can change IPL,
- * mode, mapping or context, carry instruction-specific extra cycle
- * charges, or raise VM-emulation traps - all of which the block loop
- * hoists out of the instruction path.  These stop a block *before*
- * the instruction (a run never contains one).
+ * Stoppers: opcodes the block driver must never run.  They can change
+ * IPL, mode, mapping or context, carry instruction-specific extra
+ * cycle charges, or raise VM-emulation traps - all of which the
+ * driver hoists out of the instruction path.  A stopper ends its
+ * block as the final element, retired by the interpreter after the
+ * driver's run.
  */
 bool
 stopsBlock(Word opcode)
@@ -451,8 +454,8 @@ appendInstr(Block &blk, const PredecodedInstr &ci, const CostModel &cost)
     BlockInstr &bi = blk.instrs[blk.count++];
     bi = BlockInstr{};
     bi.len = ci.len;
-    // No in-block opcode carries extraCharge or suppressBase (every
-    // setter lives in the sensitive set stopsBlock() rejects), so the
+    // No driver-run opcode carries extraCharge or suppressBase (every
+    // setter is a stopper, which the driver never runs), so the
     // per-instruction charge is statically the scaled base cost.
     bi.charge = static_cast<std::uint32_t>(
         static_cast<Cycles>(ci.info->baseCycles) *
@@ -519,34 +522,19 @@ Cpu::buildBlock(VirtAddr pc, const Byte *base)
             break;
         if (std::memcmp(base + off, ci.bytes.data(), ci.len) != 0)
             break; // stale predecode: the live bytes changed
+        addr += ci.len;
         if (stopsBlock(ci.opcode)) {
-            if (Block::belowMinRun(blk.count)) {
-                // Negative entry: the bytes validate but the run is
-                // too short to be worth executing as a block (see
-                // Block::kMinInstrs), so runBlocks retires the whole
-                // region - harvested instructions plus the sensitive
-                // capper - through the plain interpreter in one pass,
-                // without re-resolving the window per instruction.
-                // The sensitive instruction's bytes are included in
-                // the validated span, so patching it drops the entry.
-                blk.stepInstrs = static_cast<Byte>(blk.count + 1);
-                blk.count = 0;
-                blk.totalCharge = 0;
-                blk.tmpls.clear();
-                blk.byteLen = static_cast<Word>(addr + ci.len - pc);
-                std::memcpy(blk.bytes.data(),
-                            base + (pc & kPageOffsetMask), blk.byteLen);
-                return &blk;
-            }
+            // Validated with the block, so patching the stopper drops
+            // the block; runBlocks steps it after the driver's run.
+            blk.stopperLen = ci.len;
             break;
         }
         appendInstr(blk, ci, cost_);
-        addr += ci.len;
         if (endsBlockAfter(ci.opcode))
             break;
     }
 
-    if (blk.count == 0) {
+    if (addr == pc) {
         blk.clear();
         return nullptr;
     }

@@ -3,14 +3,16 @@
  * Superblock translation cache (docs/ARCHITECTURE.md §5a).
  *
  * A Block is a run of predecoded instructions starting at one virtual
- * PC and ending at the first control transfer or sensitive opcode,
+ * PC and ending at the first control transfer or stopper (a sensitive
+ * or state-changing opcode, see stopsBlock() in block_cache.cc),
  * harvested from the per-instruction replay cache once the code has
- * executed at least once.  Every runnable block retires through the
- * computed-goto driver in threaded.cc, with the pending-interrupt
- * check and instruction-byte revalidation hoisted to the block edges,
- * and with the hottest opcode+addressing-mode pairs fused into
- * specialized handlers that bypass the generic decode/execute
- * machinery entirely.
+ * executed at least once.  A stopper is the block's final element:
+ * the block's instructions retire through the computed-goto driver in
+ * threaded.cc, with the pending-interrupt check and instruction-byte
+ * revalidation hoisted to the block edges and the hottest
+ * opcode+addressing-mode pairs fused into specialized handlers that
+ * bypass the generic decode/execute machinery entirely; the stopper
+ * then retires through the ordinary interpreter step.
  *
  * Blocks are keyed by virtual PC but validated by physical identity:
  * entry compares the page's host pointer (resolved through the
@@ -143,28 +145,18 @@ struct BlockInstr
 };
 
 /**
- * A superblock: straight-line run of instructions within one page.
- * count == 0 marks a negative entry (the run at pc is sensitive-capped
- * and at most kMinInstrs long, so block setup costs more than the
- * interpreter it would replace); its bytes still validate so the
- * lookup path skips futile rebuild attempts.
+ * A superblock: straight-line run of instructions within one page,
+ * optionally capped by a stopper.  The driver runs instrs[0..count);
+ * when stopperLen != 0 the stopper's bytes follow them inside the
+ * validated span and runBlocks steps it through the interpreter once
+ * the driver completes the block.  A block that starts at a stopper
+ * has count == 0 and never enters the driver.
  */
 struct Block
 {
     static constexpr VirtAddr kNoPc = ~VirtAddr{0};
     static constexpr int kMaxInstrs = 32;
     static constexpr int kMaxBytes = 128;
-    /**
-     * Minimum profitable run length.  A harvest that hits a sensitive
-     * opcode after this many instructions or fewer becomes a negative
-     * entry: the executor's entry/exit work (window resolve, memcmp,
-     * generation loads) outweighs dispatching 1-2 instructions, which
-     * is exactly the trap- and switch-dense shape (MTPR/MFPR/PROBE
-     * every couple of instructions) that regressed when superblocks
-     * landed.  Runs capped by a control transfer keep translating at
-     * any length: branch targets chain usefully.
-     */
-    static constexpr int kMinInstrs = 2;
     /** Slow-path dispatches of a source block before it may link. */
     static constexpr std::uint64_t kLinkThreshold = 8;
 
@@ -201,8 +193,8 @@ struct Block
     const Byte *hostPage = nullptr; //!< page identity at build time
     std::uint32_t *genCell = nullptr; //!< the page's generation cell
     Word byteLen = 0;
-    Byte count = 0;
-    Byte stepInstrs = 0; //!< negative entry: instructions to interpret
+    Byte count = 0;       //!< instructions the driver runs
+    Byte stopperLen = 0;  //!< bytes of the capping stopper, 0 if none
     Cycles totalCharge = 0; //!< worst-case cycles if fully retired
     std::array<Byte, kMaxBytes> bytes{};
     std::array<BlockInstr, kMaxInstrs> instrs{};
@@ -234,34 +226,16 @@ struct Block
     std::uint64_t runs = 0; //!< driver entries (slow path + chained)
     std::array<std::uint64_t, kNumThreadedBails> bails{};
 
-    /**
-     * Live, directly executable block - not a negative entry.  The
-     * single source of truth for the count == 0 test shared by the
-     * slow dispatch path and trace-link crossings, so they can never
-     * disagree about which blocks are eligible to run.
-     */
-    bool runnable() const { return count != 0; }
     /** The driver has bound every instruction to its handler label
      *  (rebuilding resets the instructions, so this never outlives
      *  the byte validation the block was built from). */
     bool resolved() const { return instrs[0].handler != nullptr; }
-    /**
-     * A harvest capped by a sensitive opcode after @p n instructions
-     * is below the profitability cutoff and becomes a negative entry
-     * (see kMinInstrs).
-     */
-    static constexpr bool
-    belowMinRun(int n)
-    {
-        return n <= kMinInstrs;
-    }
-
     void
     clear()
     {
         pc = kNoPc;
         count = 0;
-        stepInstrs = 0;
+        stopperLen = 0;
         byteLen = 0;
         totalCharge = 0;
         tmpls.clear();

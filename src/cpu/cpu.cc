@@ -26,9 +26,9 @@ Cpu::Cpu(Mmu &mmu, const CostModel &cost, Stats &stats,
         if (v == "ref" || v == "reference")
             setExecTier(ExecTier::Reference);
         else if (v == "fast")
-            exec_tier_ = ExecTier::Fast;
+            setExecTier(ExecTier::Fast);
         else if (v == "threaded")
-            exec_tier_ = ExecTier::Threaded;
+            setExecTier(ExecTier::Threaded);
         else
             std::fprintf(stderr,
                          "vvax: ignoring unknown VVAX_EXEC_TIER '%s' "
@@ -66,12 +66,8 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
     for (const Block *b : live) {
         os << "  pc=" << std::setw(8) << b->pc << std::dec
            << std::setfill(' ');
-        if (b->count == 0) {
-            os << " negative(step=" << static_cast<int>(b->stepInstrs)
-               << ")";
-        } else {
-            os << " instrs=" << static_cast<int>(b->count);
-        }
+        os << " instrs=" << static_cast<int>(b->count)
+           << (b->stopperLen != 0 ? "+stopper" : "");
         os << " bytes=" << b->byteLen << " hits=" << b->hits
            << " in=" << b->inbound.size() << " last="
            << (b->lastDir == Block::kLinkTaken ? "taken" : "fall");

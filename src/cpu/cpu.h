@@ -253,17 +253,16 @@ class Cpu
     void setTraceLinksEnabled(bool on) { trace_links_enabled_ = on; }
     bool traceLinksEnabled() const { return trace_links_enabled_; }
     /**
-     * Select the host execution tier (see ExecTier).  Selecting
-     * Reference also enables the MMU's reference path so the whole
-     * fast-path stack is bypassed; selecting any other tier leaves
-     * the MMU setting alone (tests drive it independently).
+     * Select the host execution tier (see ExecTier).  The MMU's
+     * reference path follows the tier both ways: on for Reference, so
+     * the whole fast-path stack is bypassed, and off for every other
+     * tier.
      */
     void
     setExecTier(ExecTier tier)
     {
         exec_tier_ = tier;
-        if (tier == ExecTier::Reference)
-            mmu_.setReferencePath(true);
+        mmu_.setReferencePath(tier == ExecTier::Reference);
     }
     ExecTier execTier() const { return exec_tier_; }
     /**
@@ -368,19 +367,20 @@ class Cpu
     /** Decode+execute+account one instruction (the body of step()). */
     void stepInstruction();
     /**
-     * Retire instructions through cached superblocks until the block
-     * chain breaks (untranslatable code, halt/wait, a deliverable
-     * interrupt, or the instruction budget).  @return true if at
-     * least one block executed.  Must be entered with no deliverable
+     * Retire instructions through cached superblocks, each block's
+     * stopper through stepInstruction(), until the block chain breaks
+     * (untranslatable code, halt/wait, a deliverable interrupt, or
+     * the instruction budget).  @return true if at least one
+     * instruction retired.  Must be entered with no deliverable
      * interrupt pending.
      */
     bool runBlocks(std::uint64_t limit);
     /**
      * Translate the run starting at @p pc into the block slot.
      * @p base is the already-resolved instruction window.  @return
-     * the block (possibly a negative entry), or nullptr when pc has
-     * no predecoded entry yet (code must execute once through the
-     * per-instruction path before it can block).
+     * the block (count == 0 when pc is itself a stopper), or nullptr
+     * when pc has no predecoded entry yet (code must execute once
+     * through the per-instruction path before it can block).
      */
     Block *buildBlock(VirtAddr pc, const Byte *base);
     /**

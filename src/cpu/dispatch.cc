@@ -324,7 +324,7 @@ Cpu::followLink(Block &src, Block **blk, Tlb::Entry **entry)
         Block *t = l.target;
         if (t == nullptr || l.pc != pc)
             continue;
-        if (t->pc != pc || !t->runnable() || *t->genCell != t->validGen)
+        if (t->pc != pc || *t->genCell != t->validGen)
             return false; // recycled slot or dirtied page: slow path
         if (mmu_.regs().mapen) {
             Tlb::Entry *e = l.entry;
@@ -406,7 +406,7 @@ Cpu::invalidateBlock(Block &blk)
     // don't keep a dangling (source, slot) pair for a recycled slot.
     // Count discarded handler bindings so VVAX_DUMP_HOT_BLOCKS can
     // show rebuild churn.
-    if (blk.runnable() && blk.resolved())
+    if (blk.count != 0 && blk.resolved())
         stats_.threadedDiscards++;
     severInboundLinks(blk);
     for (int s = 0; s < 2; ++s) {
@@ -461,52 +461,44 @@ Cpu::runBlocks(std::uint64_t limit)
         }
         if (blk == nullptr)
             blk = buildBlock(pc, base);
-        if (blk == nullptr || !blk->runnable()) {
-            prev = nullptr;
-            if (blk == nullptr || blk->stepInstrs == 0)
-                break; // untranslatable here
-            // Negative entry: the run is too short for the block
-            // executor, so retire the whole validated region through
-            // the interpreter here, keeping the window resolve and
-            // memcmp amortized over the region instead of paying them
-            // again after every single stepped instruction.  Never a
-            // link source or target: trap-dense code keeps its tuned
-            // path.
-            const int n = blk->stepInstrs;
-            for (int i = 0; i < n; ++i) {
-                stepInstruction();
-                executed = true;
-                if (run_state_ != RunState::Running ||
-                    stats_.instructions >= limit ||
-                    pendingDeliverable())
-                    return executed;
-            }
-            continue;
-        }
+        if (blk == nullptr)
+            break; // untranslatable here
         blk->hits++;
-        if (prev != nullptr) {
-            // The successor just validated through the slow path;
-            // re-check that the source still owns its slot (the build
-            // above may have recycled it on a hash collision) and is
-            // hot enough to promote.
-            if (trace_links_enabled_ && prev->pc == prev_pc &&
-                prev->hits >= Block::kLinkThreshold)
-                formTraceLink(*prev, prev_slot, *blk, entry);
-            prev = nullptr;
+        // The successor just validated through the slow path; re-check
+        // that the source still owns its slot (the build above may
+        // have recycled it on a hash collision) and is hot enough to
+        // promote.  Links lead only into blocks the driver runs.
+        if (prev != nullptr && blk->count != 0 && trace_links_enabled_ &&
+            prev->pc == prev_pc && prev->hits >= Block::kLinkThreshold)
+            formTraceLink(*prev, prev_slot, *blk, entry);
+        prev = nullptr;
+        if (blk->count != 0) {
+            // The driver follows trace links itself and leaves blk
+            // naming the last block it entered, so the stopper and
+            // link bookkeeping below apply to the real chain tail.
+            const BlockExit exit = executeThreaded(blk, entry, limit);
+            executed = true;
+            if (run_state_ != RunState::Running || pendingDeliverable())
+                break;
+            if (exit == BlockExit::Bailed)
+                continue;
+            if (blk->stopperLen == 0) {
+                prev = blk;
+                prev_pc = blk->pc;
+                prev_slot = exit == BlockExit::Taken ? Block::kLinkTaken
+                                                     : Block::kLinkFall;
+                continue;
+            }
+            if (stats_.instructions >= limit)
+                break;
         }
-        // The driver follows trace links itself and leaves blk naming
-        // the last block it entered, so the link bookkeeping below
-        // applies to the real chain tail.
-        const BlockExit exit = executeThreaded(blk, entry, limit);
+        // The block's stopper (the whole block when it starts at
+        // one): the interpreter retires it, so a stopper block is
+        // never a link source.
+        stepInstruction();
         executed = true;
-        if (run_state_ != RunState::Running || pendingDeliverable())
+        if (pendingDeliverable())
             break;
-        if (exit == BlockExit::Bailed)
-            continue;
-        prev = blk;
-        prev_pc = blk->pc;
-        prev_slot = exit == BlockExit::Taken ? Block::kLinkTaken
-                                             : Block::kLinkFall;
     }
     return executed;
 }

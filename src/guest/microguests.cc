@@ -156,9 +156,14 @@ buildSmcPatchLoop(Longword iterations, bool cross_page)
     b.movl(Op::imm(1), Op::reg(R2));
     b.clrl(Op::reg(R0));
     b.clrl(Op::reg(R1));
+    b.clrl(Op::reg(R3));
+    b.movl(Op::imm(static_cast<Longword>(Opcode::MFPR)), Op::reg(R5));
+    b.movl(Op::imm(kSmcStopperPeriod), Op::reg(R4));
 
     Label loop = b.newLabel();
+    Label body = b.newLabel();
     Label patch = b.newLabel();
+    Label stopper = b.newLabel();
     b.bind(loop);
     // Toggle r2 between 1 and 2 and store it over the short-literal
     // specifier byte of the ADDL2 below (opcode byte at `patch`, the
@@ -167,27 +172,38 @@ buildSmcPatchLoop(Longword iterations, bool cross_page)
     // short-literal range, so the rewritten byte is always legal.
     b.xorl2(Op::lit(3), Op::reg(R2));
     b.movb(Op::reg(R2), Op::absRef(patch, 1));
+    // Every kSmcStopperPeriod-th pass, flip the opcode byte at
+    // `stopper` between MFPR and MOVL.  Both read a longword and
+    // write one, so `#18, R7` stays legal either way: a stopper that
+    // capped a block (and later a block of its own) for the quiet
+    // passes becomes an ordinary instruction, and back.
+    b.sobgtr(Op::reg(R4), body);
+    b.xorl2(Op::imm(static_cast<Longword>(Opcode::MFPR) ^
+                    static_cast<Longword>(Opcode::MOVL)),
+            Op::reg(R5));
+    b.movb(Op::reg(R5), Op::absRef(stopper));
+    b.movl(Op::imm(kSmcStopperPeriod), Op::reg(R4));
+    b.bind(body);
+    Label again = b.newLabel();
     if (cross_page) {
-        // Put the patched instruction on the following page so the
-        // store lands outside the page the storing block runs from.
+        // Put the patched instructions on the following page so the
+        // stores land outside the page the storing block runs from.
         // The backward edge needs a word-displacement trampoline:
         // SOBGTR only reaches a byte away.
-        Label again = b.newLabel();
         b.brw(patch);
         b.align(kPageSize);
-        b.bind(patch);
-        b.addl2(Op::lit(1), Op::reg(R0));
-        b.xorl2(Op::reg(R0), Op::reg(R1));
-        b.sobgtr(Op::reg(R6), again);
-        b.halt();
+    }
+    b.bind(patch);
+    b.addl2(Op::lit(1), Op::reg(R0));
+    b.xorl2(Op::reg(R0), Op::reg(R1));
+    b.incl(Op::reg(R3));
+    b.bind(stopper);
+    b.mfpr(Ipr::IPL, Op::reg(R7));
+    b.sobgtr(Op::reg(R6), cross_page ? again : loop);
+    b.halt();
+    if (cross_page) {
         b.bind(again);
         b.brw(loop);
-    } else {
-        b.bind(patch);
-        b.addl2(Op::lit(1), Op::reg(R0));
-        b.xorl2(Op::reg(R0), Op::reg(R1));
-        b.sobgtr(Op::reg(R6), loop);
-        b.halt();
     }
 
     MicroGuestImage img;

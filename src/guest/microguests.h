@@ -43,16 +43,22 @@ MicroGuestImage buildTrapDenseLoop(Longword iterations);
  */
 MicroGuestImage buildContextSwitchLoop(Longword iterations);
 
+/** Passes between stopper rewrites in the SMC guest. */
+constexpr Longword kSmcStopperPeriod = 16;
+
 /**
  * Self-modifying kernel loop: each iteration rewrites the
  * short-literal specifier byte of an ADDL2 that has already executed
  * (toggling the addend between 1 and 2), then runs the patched
- * instruction.  With @p cross_page the patched instruction sits on
- * the page after the store, so the write invalidates a *different*
- * page's translations; otherwise the store mutates the very run of
- * code it executes from.  Exercises icache/superblock invalidation on
- * the fast path - the reference interpreter re-fetches every byte, so
- * lockstep runs prove the caches never serve stale code.
+ * instruction.  Every @ref kSmcStopperPeriod passes it also flips the
+ * stopper that caps the patched run (MFPR #IPL, R7) into
+ * MOVL #18, R7 and back.  With @p cross_page the patched
+ * instructions sit on the page after the stores, so the writes
+ * invalidate a *different* page's translations; otherwise the stores
+ * mutate the very run of code they execute from.  Exercises
+ * icache/superblock invalidation on the fast path - the reference
+ * interpreter re-fetches every byte, so lockstep runs prove the
+ * caches never serve stale code.
  */
 MicroGuestImage buildSmcPatchLoop(Longword iterations, bool cross_page);
 

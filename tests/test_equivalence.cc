@@ -282,6 +282,9 @@ struct MachineDigest
     Longword psl = 0;
     std::uint64_t ram = 0; //!< FNV-1a over all of physical memory
     Stats stats;
+    /** FNV-1a over (PC, instructions) at every run() return of a
+     *  sliced run; 0 when the program ran in one call. */
+    std::uint64_t trail = 0;
 
     bool operator==(const MachineDigest &other) const = default;
 };
@@ -326,6 +329,7 @@ expectDigestsEqual(const MachineDigest &fast, const MachineDigest &ref)
     EXPECT_EQ(fast.stats.modifyFaults, ref.stats.modifyFaults);
     EXPECT_EQ(fast.stats.translationFaults, ref.stats.translationFaults);
     EXPECT_EQ(fast.stats.accessViolations, ref.stats.accessViolations);
+    EXPECT_EQ(fast.trail, ref.trail) << "run() budget boundaries";
     EXPECT_TRUE(fast.stats == ref.stats)
         << "every Stats field must be bit-identical";
     EXPECT_TRUE(fast == ref);
@@ -506,7 +510,8 @@ lockstepTrapDenseVirtual(bool reference)
 /**
  * Self-modifying code: the guest rewrites the literal byte of an
  * ADDL2 inside a run of code that already executed (and so already
- * has live icache entries and superblocks on the fast path).  The
+ * has live icache entries and superblocks on the fast path), and now
+ * and then the opcode of the stopper capping a block that has run.  The
  * reference interpreter re-fetches every byte, so lockstep agreement
  * proves the fast path never serves stale code or diverges in the
  * TLB/cycle accounting while invalidating.
@@ -517,8 +522,7 @@ lockstepSmcBare(bool cross_page, bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -527,6 +531,11 @@ lockstepSmcBare(bool cross_page, bool reference)
     EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
     // The patched addend alternates 2,1,2,1,... over 600 passes.
     EXPECT_EQ(m.cpu().reg(0), 900u);
+    EXPECT_EQ(m.cpu().reg(R3), 600u);
+    // The stopper flips an odd number of times, so the last pass
+    // runs MOVL #18, R7 instead of MFPR #IPL, R7.
+    static_assert(600 / kSmcStopperPeriod % 2 == 1);
+    EXPECT_EQ(m.cpu().reg(R7), 18u);
     return digestOf(m);
 }
 
@@ -538,8 +547,7 @@ lockstepSmcVirtual(bool cross_page, bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildSmcPatchLoop(600, cross_page);
@@ -571,8 +579,7 @@ lockstepExternalPatch(bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(loop) + 1;
@@ -610,8 +617,7 @@ lockstepBranchPatchBare(bool cross_page, bool reference,
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     m.cpu().setTraceLinksEnabled(links);
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
     m.loadImage(img.loadBase, img.image);
@@ -640,8 +646,7 @@ lockstepBranchPatchVirtual(bool cross_page, bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildBranchPatchLoop(600, cross_page);
@@ -684,8 +689,7 @@ lockstepExternalLinkSever(bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     const VirtAddr lit_addr = b.labelAddress(next) + 1;
@@ -736,8 +740,7 @@ lockstepExternalLinkSeverVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     auto image = b.finish();
@@ -1039,8 +1042,7 @@ lockstepColdBlocksWithFault(bool reference, std::uint64_t *links_formed)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
-    m.cpu().setExecTier(ExecTier::Threaded);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     m.cpu().setScbb(kScb);
@@ -1082,12 +1084,16 @@ TEST(ThreadedTierLockstep, ColdBlocksRetireThroughTheDriver)
  * Run @p b's program from its origin on @p tier, bare (kernel mode,
  * IPL 31, mapping off) or as the whole program of a VM, until it
  * halts.  When @p data is non-empty it receives the guest-physical
- * bytes from @p data_pa on.
+ * bytes from @p data_pa on.  A nonzero @p slice runs the program
+ * @p slice instructions per run() call and records where every call
+ * stopped in the digest's trail.
  */
 MachineDigest
 lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
-                std::span<Byte> data = {}, PhysAddr data_pa = 0)
+                std::span<Byte> data = {}, PhysAddr data_pa = 0,
+                std::uint64_t slice = 0)
 {
+    constexpr std::uint64_t kBudget = 10000000;
     const auto image = b.finish();
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
@@ -1095,48 +1101,73 @@ lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
         mc.ramBytes = 16 * 1024 * 1024;
     RealMachine m(mc);
     m.cpu().setExecTier(tier);
+    std::uint64_t trail = 0;
+    // Runs @p run until @p halted, whole or slice by slice.
+    const auto drive = [&](auto run, auto halted) {
+        if (slice == 0) {
+            run(kBudget);
+            return;
+        }
+        trail = 14695981039346656037ull;
+        for (std::uint64_t n = 0; n < kBudget && !halted(); n += slice) {
+            run(slice);
+            for (const std::uint64_t v :
+                 {std::uint64_t{m.cpu().reg(PC)}, m.stats().instructions}) {
+                trail ^= v;
+                trail *= 1099511628211ull;
+            }
+        }
+    };
+    MachineDigest d;
     if (virtualized) {
         Hypervisor hv(m);
         VirtualMachine &vm = hv.createVm(VmConfig{});
         hv.loadVmImage(vm, b.origin(), image);
         hv.startVm(vm, b.origin());
-        hv.run(10000000);
+        drive([&](std::uint64_t n) { hv.run(n); },
+              [&] { return vm.haltReason != VmHaltReason::None; });
         EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
         if (!data.empty())
             m.memory().readBlock(vm.vmPhysToReal(data_pa), data);
-        return digestOf(m);
+        d = digestOf(m);
+    } else {
+        m.loadImage(b.origin(), image);
+        m.cpu().setPc(b.origin());
+        m.cpu().psl().setIpl(31);
+        drive([&](std::uint64_t n) { m.run(n); },
+              [&] { return m.cpu().runState() == RunState::Halted; });
+        EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+        if (!data.empty())
+            m.memory().readBlock(data_pa, data);
+        d = digestOf(m);
     }
-    m.loadImage(b.origin(), image);
-    m.cpu().setPc(b.origin());
-    m.cpu().psl().setIpl(31);
-    m.run(10000000);
-    EXPECT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
-    if (!data.empty())
-        m.memory().readBlock(data_pa, data);
-    return digestOf(m);
+    d.trail = trail;
+    return d;
 }
 
 /**
  * Run @p build's program on the fast and threaded tiers and on the
- * reference tier; all three digests must be equal.  Returns the
- * threaded run's digest.
+ * reference tier (@p slice instructions per run() call when nonzero);
+ * all three digests must be equal.  Returns the threaded run's
+ * digest.
  */
 template <typename Build>
 MachineDigest
-tiersMatchReference(Build build, bool virtualized)
+tiersMatchReference(Build build, bool virtualized, std::uint64_t slice = 0)
 {
     CodeBuilder ref_b = build();
-    const MachineDigest ref =
-        lockstepProgram(ref_b, virtualized, ExecTier::Reference);
+    const MachineDigest ref = lockstepProgram(
+        ref_b, virtualized, ExecTier::Reference, {}, 0, slice);
     CodeBuilder fast_b = build();
     {
         SCOPED_TRACE("fast tier");
-        expectDigestsEqual(
-            lockstepProgram(fast_b, virtualized, ExecTier::Fast), ref);
+        expectDigestsEqual(lockstepProgram(fast_b, virtualized,
+                                           ExecTier::Fast, {}, 0, slice),
+                           ref);
     }
     CodeBuilder threaded_b = build();
-    const MachineDigest threaded =
-        lockstepProgram(threaded_b, virtualized, ExecTier::Threaded);
+    const MachineDigest threaded = lockstepProgram(
+        threaded_b, virtualized, ExecTier::Threaded, {}, 0, slice);
     SCOPED_TRACE("threaded tier");
     expectDigestsEqual(threaded, ref);
     return threaded;
@@ -1291,6 +1322,85 @@ TEST(ThreadedTierLockstep, ArithmeticTrapsMatchReference)
         EXPECT_EQ(fast.regs[R5], sum)
             << "a divide by zero leaves the dividend";
         EXPECT_GT(fast.stats.threadedInstructions, 0u);
+    }
+}
+
+/**
+ * A hot loop whose superblock [INCL, ADDL2] is capped by a stopper
+ * (MFPR #IPL), under a live interval timer.  An outer loop lengthens
+ * the timer period by one cycle per round, so the tick lands on every
+ * instruction of the loop, the ADDL2 just before the stopper
+ * included: then the interrupt must be taken before the stopper
+ * runs.  The handler counts those ticks in R9 (its saved PC is the
+ * stopper's) and sums every saved PC into R10.
+ */
+CodeBuilder
+stopperLoopUnderTimer()
+{
+    constexpr Longword kRounds = 24;
+    constexpr Longword kTrips = 100;
+    CodeBuilder b(0x200);
+    Label tick = b.newLabel();
+    Label outer = b.newLabel();
+    Label loop = b.newLabel();
+    Label stopper = b.newLabel();
+    b.movl(Op::imm(0x3000), Op::reg(SP));
+    b.movl(Op::immLabel(tick),
+           Op::abs(static_cast<Longword>(ScbVector::IntervalTimer)));
+    b.movl(Op::imm(kRounds), Op::reg(R11));
+    b.movl(Op::imm(static_cast<Longword>(-200)), Op::reg(R8));
+    b.mtpr(Op::lit(0), Ipr::IPL);
+    b.bind(outer);
+    b.mtpr(Op::reg(R8), Ipr::NICR);
+    b.mtpr(Op::imm(iccs::kTransfer | iccs::kRun |
+                   iccs::kInterruptEnable),
+           Ipr::ICCS);
+    b.movl(Op::imm(kTrips), Op::reg(R6));
+    b.bind(loop);
+    b.incl(Op::reg(R0));
+    b.addl2(Op::lit(3), Op::reg(R1));
+    b.bind(stopper);
+    b.mfpr(Ipr::IPL, Op::reg(R3));
+    b.sobgtr(Op::reg(R6), loop);
+    b.subl2(Op::lit(1), Op::reg(R8));
+    b.sobgtr(Op::reg(R11), outer);
+    b.mtpr(Op::lit(0), Ipr::ICCS);
+    b.halt();
+    b.align(4);
+    b.bind(tick);
+    Label not_stopper = b.newLabel();
+    b.cmpl(Op::deferred(SP), Op::immLabel(stopper));
+    b.bneq(not_stopper);
+    b.incl(Op::reg(R9));
+    b.bind(not_stopper);
+    b.addl2(Op::deferred(SP), Op::reg(R10));
+    b.mtpr(Op::imm(iccs::kInterrupt | iccs::kRun |
+                   iccs::kInterruptEnable),
+           Ipr::ICCS);
+    b.rei();
+    return b;
+}
+
+TEST(ThreadedTierLockstep, StopperBlockEdgesMatchReference)
+{
+    // Slice 3 against the 4-instruction loop moves each run() budget
+    // boundary one instruction along per pass, so budgets end just
+    // before the stopper too (the driver completes the block, and the
+    // stopper must wait for the next call).
+    for (const std::uint64_t slice : {std::uint64_t{0}, std::uint64_t{3}}) {
+        for (const bool virtualized : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (virtualized ? "virtualized" : "bare")
+                         << " slice " << slice);
+            const MachineDigest threaded = tiersMatchReference(
+                stopperLoopUnderTimer, virtualized, slice);
+            EXPECT_EQ(threaded.regs[R0], 24u * 100u);
+            EXPECT_GT(threaded.stats.threadedInstructions, 0u);
+            if (!virtualized) {
+                EXPECT_GT(threaded.regs[R9], 0u)
+                    << "some tick must land just before the stopper";
+            }
+        }
     }
 }
 
@@ -1686,13 +1796,37 @@ TEST(FastPathLockstep, MiniUltrixBootVirtualized)
 
 TEST(FastPathLockstep, EnvironmentVariableSelectsReferencePath)
 {
-    RealMachine m;
-    EXPECT_FALSE(m.mmu().referencePath())
-        << "fast path is the default";
-    m.mmu().setReferencePath(true);
-    EXPECT_TRUE(m.mmu().referencePath());
-    m.mmu().setReferencePath(false);
-    EXPECT_FALSE(m.mmu().referencePath());
+    // Stash any preset VVAX_EXEC_TIER: the default checked here is the
+    // parser's, not the caller's pick.
+    const char *prior = getenv("VVAX_EXEC_TIER");
+    const std::string saved = prior != nullptr ? prior : "";
+    unsetenv("VVAX_EXEC_TIER");
+    {
+        RealMachine m;
+        EXPECT_FALSE(m.mmu().referencePath())
+            << "fast path is the default";
+        m.mmu().setReferencePath(true);
+        EXPECT_TRUE(m.mmu().referencePath());
+        m.mmu().setReferencePath(false);
+        EXPECT_FALSE(m.mmu().referencePath());
+    }
+    setenv("VVAX_EXEC_TIER", "ref", 1);
+    {
+        // The tier, not the environment, owns the MMU path: leaving
+        // the reference tier turns the reference path off again.
+        RealMachine m;
+        EXPECT_TRUE(m.mmu().referencePath());
+        m.cpu().setExecTier(ExecTier::Threaded);
+        EXPECT_FALSE(m.mmu().referencePath());
+        m.cpu().setExecTier(ExecTier::Reference);
+        EXPECT_TRUE(m.mmu().referencePath());
+        m.cpu().setExecTier(ExecTier::Fast);
+        EXPECT_FALSE(m.mmu().referencePath());
+    }
+    if (prior != nullptr)
+        setenv("VVAX_EXEC_TIER", saved.c_str(), 1);
+    else
+        unsetenv("VVAX_EXEC_TIER");
 }
 
 TEST(FastPathLockstep, IoDenseLoopBare)
