@@ -20,6 +20,7 @@
  * legal - e.g. a register-mode PC operand can never appear.
  */
 
+#include <array>
 #include <cstring>
 
 #include "cpu/cpu.h"
@@ -467,9 +468,12 @@ appendInstr(Block &blk, const PredecodedInstr &ci, const CostModel &cost)
         bi.flags = BlockInstr::kTouchesMem;
     classify(bi, ci);
     if (bi.op == kOpGeneric) {
+        // replayTemplate counts the replay's fetch hits itself.
+        bi.fetchesPre = 0;
         bi.tmplIndex = static_cast<Word>(blk.tmpls.size());
         blk.tmpls.push_back(ci);
     }
+    blk.fetchHits += bi.fetchesPre + bi.fetchesPost;
 }
 
 } // namespace
@@ -496,23 +500,16 @@ Cpu::buildBlock(VirtAddr pc, const Byte *base)
 {
     if (icache_.empty())
         return nullptr; // nothing decoded yet: warm up via step first
-    const PredecodedInstr &first = icache_[icacheIndex(pc)];
-    if (first.pc != pc)
-        return nullptr; // never decoded here: warm up via step first
 
-    Block &blk = bcache_.slotFor(pc);
-    // The slot may hold a live block (hash collision or rebuild of
-    // this very pc): sever its link edges before recycling so no
-    // source keeps a direct jump into the new occupant.
-    invalidateBlock(blk);
-    blk.pc = pc;
-    blk.hostPage = base;
-    blk.genCell = mmu_.pageGenForHostPage(base);
-    blk.validGen = *blk.genCell;
-
+    // Walk the predecoded entries first, without touching the cache:
+    // the block ends after a control transfer or a stopper, or before
+    // an entry that was never decoded or leaves the page or size.
+    std::array<const PredecodedInstr *, Block::kMaxInstrs> run{};
+    int n = 0;
+    bool stopper = false;
     const VirtAddr page = pc & ~static_cast<VirtAddr>(kPageOffsetMask);
     VirtAddr addr = pc;
-    while (blk.count < Block::kMaxInstrs) {
+    while (n < Block::kMaxInstrs) {
         const PredecodedInstr &ci = icache_[icacheIndex(addr)];
         const VirtAddr off = addr & kPageOffsetMask;
         if (ci.pc != addr ||
@@ -520,24 +517,36 @@ Cpu::buildBlock(VirtAddr pc, const Byte *base)
             off + ci.len > kPageSize ||
             addr + ci.len - pc > Block::kMaxBytes)
             break;
+        // A stale entry (the live bytes changed since its decode):
+        // build nothing, so the interpreter steps up to it and
+        // refreshes it, and the next dispatch here builds the whole
+        // run instead of a block cut short at the stale entry.
         if (std::memcmp(base + off, ci.bytes.data(), ci.len) != 0)
-            break; // stale predecode: the live bytes changed
+            return nullptr;
+        run[n++] = &ci;
         addr += ci.len;
-        if (stopsBlock(ci.opcode)) {
-            // Validated with the block, so patching the stopper drops
-            // the block; runBlocks steps it after the driver's run.
-            blk.stopperLen = ci.len;
-            break;
-        }
-        appendInstr(blk, ci, cost_);
-        if (endsBlockAfter(ci.opcode))
+        // Validated with the block, so patching the stopper drops
+        // the block; runBlocks steps it after the driver's run.
+        stopper = stopsBlock(ci.opcode);
+        if (stopper || endsBlockAfter(ci.opcode))
             break;
     }
+    if (n == 0)
+        return nullptr; // never decoded here: warm up via step first
 
-    if (addr == pc) {
-        blk.clear();
-        return nullptr;
-    }
+    Block &blk = bcache_.slotFor(pc);
+    // The slot may hold a live block (the set's victim or a rebuild of
+    // this very pc): sever its link edges before recycling so no
+    // source keeps a direct jump into the new occupant.
+    invalidateBlock(blk);
+    blk.pc = pc;
+    blk.hostPage = base;
+    blk.genCell = mmu_.pageGenForHostPage(base);
+    blk.validGen = *blk.genCell;
+    if (stopper)
+        blk.stopperLen = run[--n]->len;
+    for (int i = 0; i < n; ++i)
+        appendInstr(blk, *run[i], cost_);
     blk.byteLen = static_cast<Word>(addr - pc);
     std::memcpy(blk.bytes.data(), base + (pc & kPageOffsetMask),
                 blk.byteLen);

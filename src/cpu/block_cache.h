@@ -23,8 +23,10 @@
  * (PhysicalMemory::pageGenCell).
  *
  * This is host-side machinery only: the simulated cost model and
- * every architectural counter are charged per retired instruction,
- * exactly as the reference interpreter would (DESIGN.md §7c).
+ * every architectural counter end up exactly where the reference
+ * interpreter's per-instruction charges put them (DESIGN.md §7c); the
+ * driver settles them once per block, splitting a block only where
+ * the interval timer's zero crossing must land.
  */
 
 #ifndef VVAX_CPU_BLOCK_CACHE_H
@@ -133,14 +135,17 @@ struct BlockInstr
     Byte b = 0;           //!< see BlockOp comments
     Byte len = 0;         //!< instruction length in bytes
     Byte flags = 0;
-    Byte fetchesPre = 0;  //!< stream fetches before the data access
-    Byte fetchesPost = 0; //!< stream fetches after it
+    /** Stream fetches before the data access (fused ops only:
+     *  a Generic replay counts its own). */
+    Byte fetchesPre = 0;
+    Byte fetchesPost = 0; //!< stream fetches after it (fused ops only)
     BlockOp op = kOpGeneric;
     Word tmplIndex = 0;   //!< Generic: index into Block::tmpls
     Longword imm = 0;     //!< immediate / displacement / branch target
     Longword imm2 = 0;    //!< MovIM immediate value
-    /** Base cycle charge (fused ops only).  32 bits keep the record
-     *  at half a cache line. */
+    /** Cycle charge (the scaled base cost: no driver-run opcode
+     *  carries an extra charge).  32 bits keep the record at half a
+     *  cache line. */
     std::uint32_t charge = 0;
 };
 
@@ -157,7 +162,7 @@ struct Block
     static constexpr VirtAddr kNoPc = ~VirtAddr{0};
     static constexpr int kMaxInstrs = 32;
     static constexpr int kMaxBytes = 128;
-    /** Slow-path dispatches of a source block before it may link. */
+    /** Driver runs of a source block before it may link. */
     static constexpr std::uint64_t kLinkThreshold = 8;
 
     /**
@@ -195,7 +200,10 @@ struct Block
     Word byteLen = 0;
     Byte count = 0;       //!< instructions the driver runs
     Byte stopperLen = 0;  //!< bytes of the capping stopper, 0 if none
-    Cycles totalCharge = 0; //!< worst-case cycles if fully retired
+    Cycles totalCharge = 0; //!< cycles of instrs[0..count)
+    /** Fetch hits of instrs[0..count): the fused ops' fetchesPre +
+     *  fetchesPost (the driver settles both totals once per block). */
+    std::uint64_t fetchHits = 0;
     std::array<Byte, kMaxBytes> bytes{};
     std::array<BlockInstr, kMaxInstrs> instrs{};
     std::vector<PredecodedInstr> tmpls; //!< Generic instr templates
@@ -211,7 +219,7 @@ struct Block
      * traceLinksSevered counter meaningful.
      */
     std::vector<std::pair<Block *, Byte>> inbound;
-    std::uint64_t hits = 0; //!< slow-path dispatches (link profile seed)
+    std::uint64_t hits = 0; //!< slow-path dispatches
     /**
      * Page generation at the last successful byte validation.  The
      * slow dispatch path accepts a clean generation without memcmp
@@ -238,6 +246,7 @@ struct Block
         stopperLen = 0;
         byteLen = 0;
         totalCharge = 0;
+        fetchHits = 0;
         tmpls.clear();
         links = {};
         hits = 0;
@@ -249,34 +258,58 @@ struct Block
 };
 
 /**
- * Direct-mapped block container, indexed by a hash of the start PC.
+ * Four-way set-associative block container, indexed by a hash of the
+ * start PC.  A set's ways are replaced round-robin once all four are
+ * live, so two hot blocks whose PCs hash alike (a loop head and the
+ * code it calls, on different pages) no longer evict each other.
  *
  * The slot table (~800 KB of zeroed Blocks) is allocated on the first
  * slotFor() call, not at construction: a machine that never reaches
  * the block tier - a golden-image fork held in reserve, a monitor
  * inspecting suspended state - costs no block-cache memory, which
- * keeps VM cloning O(pages-touched) rather than O(metadata).
+ * keeps VM cloning O(pages-touched) rather than O(metadata).  Slots
+ * never move once allocated: trace links point at them.
  */
 class BlockCache
 {
   public:
     static constexpr int kEntries = 512;
+    static constexpr int kWays = 4;
 
     Block *
     lookup(VirtAddr pc)
     {
         if (slots_.empty())
             return nullptr;
-        Block &b = slots_[index(pc)];
-        return b.pc == pc ? &b : nullptr;
+        Block *set = &slots_[setBase(pc)];
+        for (int w = 0; w < kWays; ++w) {
+            if (set[w].pc == pc)
+                return &set[w];
+        }
+        return nullptr;
     }
 
+    /** The slot a block for @p pc goes in: the way already holding
+     *  @p pc, else a free way, else the set's round-robin victim. */
     Block &
     slotFor(VirtAddr pc)
     {
-        if (slots_.empty())
+        if (slots_.empty()) {
             slots_.resize(kEntries);
-        return slots_[index(pc)];
+            victim_.resize(kSets);
+        }
+        if (Block *b = lookup(pc))
+            return *b;
+        const int base = setBase(pc);
+        Block *set = &slots_[base];
+        for (int w = 0; w < kWays; ++w) {
+            if (set[w].pc == Block::kNoPc)
+                return set[w];
+        }
+        Byte &next = victim_[base / kWays];
+        Block &victim = set[next];
+        next = static_cast<Byte>((next + 1) % kWays);
+        return victim;
     }
 
     /** All slots, for observability dumps (VVAX_DUMP_HOT_BLOCKS).
@@ -284,16 +317,21 @@ class BlockCache
     const std::vector<Block> &entries() const { return slots_; }
 
   private:
+    static constexpr int kSets = kEntries / kWays;
+
+    /** Index of the first way of @p pc's set. */
     static int
-    index(VirtAddr pc)
+    setBase(VirtAddr pc)
     {
         // Fold the page number in so loop bodies on different pages
         // at the same offset don't collide.
         return static_cast<int>((pc ^ (pc >> kPageShift)) &
-                                (kEntries - 1));
+                                (kSets - 1)) *
+               kWays;
     }
 
     std::vector<Block> slots_; //!< sized kEntries on first slotFor()
+    std::vector<Byte> victim_; //!< per set: the next way to replace
 };
 
 } // namespace vvax

@@ -216,9 +216,17 @@ class Cpu
     /** Put the processor into the idle (waiting) state (VMM idle). */
     void enterIdleWait() { run_state_ = RunState::Waiting; }
 
+    /**
+     * Charge @p n cycles.  Inside a block-driver run (an MMIO register
+     * access in a VM charges its trap mid-instruction) the driver's
+     * retired prefix is settled first, so the charges reach ICR in
+     * the reference interpreter's order.
+     */
     void
     chargeCycles(CycleCategory cat, Cycles n)
     {
+        if (drv_.blk != nullptr) [[unlikely]]
+            settleBeforeInstrCharge();
         stats_.addCycles(cat, n);
         advanceTimer(n);
     }
@@ -407,6 +415,35 @@ class Cpu
     BlockExit executeThreaded(Block *&blk, Tlb::Entry *win_entry,
                               std::uint64_t limit);
     /**
+     * The driver's unsettled run (threaded.cc): instructions of blk
+     * from open on have retired but are not yet counted, charged or
+     * TLB-hit.  blk is nullptr outside the driver.
+     */
+    struct DriverRun
+    {
+        const Block *blk = nullptr;
+        const BlockInstr *open = nullptr;
+        bool mapped = false;   //!< count fetch hits (window mapped)
+        /** A charge from inside an instruction settled the run up to
+         *  that instruction: the driver re-plans its next split. */
+        bool charged = false;
+    };
+    /** How the last instruction of a settled driver run ended. */
+    enum class DriverLast : Byte {
+        Retired,
+        Halted,  //!< halted the CPU: counted, not charged
+        Faulted, //!< faulted: only its fetches before the data access
+    };
+    /** Count, charge and TLB-hit the run's instructions before @p upto
+     *  in one step.  Inline (below the class): the driver settles
+     *  every block, and a call per one-instruction block shows on
+     *  trap-dense guests. */
+    void settleDriverRun(const BlockInstr *upto,
+                         DriverLast last = DriverLast::Retired);
+    /** chargeCycles from inside a driver instruction: settle the
+     *  instructions retired before it. */
+    void settleBeforeInstrCharge();
+    /**
      * Follow one of @p src's links if it validates against the
      * current PC, mapping regime, latched TLB tag and the target's
      * generation watermark (docs/ARCHITECTURE.md §5b).  Probes the
@@ -573,7 +610,9 @@ class Cpu
     Longword iccs_ = 0;
     Longword nicr_ = 0;
     std::int64_t icr_ = 0;
-    Cycles timer_residue_ = 0;
+    // Beside the timer fields chargeCycles already touches, so its
+    // open-run check costs no extra cache line.
+    DriverRun drv_;
 
     ConsolePort *console_ = nullptr;
     std::array<HostHook, 128> host_hooks_{};
@@ -634,6 +673,51 @@ class Cpu
     HaltReason halt_reason_ = HaltReason::None;
     TraceFn trace_;
 };
+
+inline void
+Cpu::settleDriverRun(const BlockInstr *upto, DriverLast last)
+{
+    const Block &blk = *drv_.blk;
+    const BlockInstr *from = drv_.open;
+    drv_.open = upto;
+    if (from == upto)
+        return;
+    auto n = static_cast<std::uint64_t>(upto - from);
+    Cycles charge = blk.totalCharge;
+    std::uint64_t hits = blk.fetchHits;
+    if (n != blk.count) {
+        charge = 0;
+        hits = 0;
+        for (const BlockInstr *p = from; p != upto; ++p) {
+            charge += p->charge;
+            hits += p->fetchesPre + p->fetchesPost;
+        }
+    }
+    // The reference charges no halting or faulting instruction, and
+    // counts neither the faulting one nor its fetches after the data
+    // access (a Generic replay counts its own).
+    std::uint64_t charged = n;
+    if (last != DriverLast::Retired) {
+        charge -= upto[-1].charge;
+        --charged;
+    }
+    if (last == DriverLast::Faulted) {
+        hits -= upto[-1].fetchesPost;
+        --n;
+    }
+    stats_.instructions += n;
+    stats_.blockInstructions += n;
+    stats_.threadedInstructions += n;
+    if (drv_.mapped)
+        stats_.tlbHits += hits;
+    // Only the run's last instruction can bring ICR to zero (the
+    // driver splits blocks there), so one advance for the whole run
+    // is the reference's per-instruction sequence.
+    if (charged != 0) {
+        stats_.addCycles(CycleCategory::GuestExec, charge);
+        advanceTimer(charge);
+    }
+}
 
 } // namespace vvax
 

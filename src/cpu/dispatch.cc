@@ -1,8 +1,9 @@
 /**
  * @file
  * Step loop, exception/interrupt dispatch through the SCB, interval
- * timer, the host-hook mechanism, and the superblock slow dispatch
- * and trace-link bookkeeping (docs/ARCHITECTURE.md §5a-§5b).
+ * timer, the host-hook mechanism, the settling of a charge made
+ * inside a block-driver instruction, and the superblock slow dispatch
+ * and trace-link bookkeeping (docs/ARCHITECTURE.md §5a-§5c).
  */
 
 #include <cstring>
@@ -252,6 +253,20 @@ Cpu::stepInstruction()
     }
 }
 
+void
+Cpu::settleBeforeInstrCharge()
+{
+    // Data accesses precede the PC commit, so regs_[PC] still names
+    // the instruction making the charge.
+    const Block &blk = *drv_.blk;
+    const BlockInstr *cur = blk.instrs.data();
+    const BlockInstr *last = cur + blk.count;
+    for (VirtAddr pc = blk.pc; cur != last && pc != regs_[PC]; ++cur)
+        pc += cur->len;
+    settleDriverRun(cur);
+    drv_.charged = true;
+}
+
 RunState
 Cpu::run(std::uint64_t max_instructions)
 {
@@ -466,10 +481,12 @@ Cpu::runBlocks(std::uint64_t limit)
         blk->hits++;
         // The successor just validated through the slow path; re-check
         // that the source still owns its slot (the build above may
-        // have recycled it on a hash collision) and is hot enough to
-        // promote.  Links lead only into blocks the driver runs.
+        // have recycled it) and has run often enough to promote -
+        // however it was entered, so a block reached only through
+        // links becomes a source too.  Links lead only into blocks the
+        // driver runs.
         if (prev != nullptr && blk->count != 0 && trace_links_enabled_ &&
-            prev->pc == prev_pc && prev->hits >= Block::kLinkThreshold)
+            prev->pc == prev_pc && prev->runs >= Block::kLinkThreshold)
             formTraceLink(*prev, prev_slot, *blk, entry);
         prev = nullptr;
         if (blk->count != 0) {

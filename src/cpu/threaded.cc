@@ -13,15 +13,21 @@
  * handler bodies are branch-free.
  *
  * Everything architectural must stay bit-identical to the reference
- * interpreter: per-instruction Stats counters and cycle charges
- * (including the timer-off deferred batch, which spans trace-link
- * crossings - legal because ICCS writes stop blocks, so the batching
- * predicate cannot flip mid-chain), the mid-block hazard checks (page
- * generation + byte memcmp after stores, window-TLB tag after any data
- * access, pending-interrupt re-check when the interval timer could
- * fire), and the fault path (flush the retired prefix, then dispatch).
- * The lockstep suites in tests/test_equivalence.cc pin this
- * equivalence.
+ * interpreter.  The driver settles counters once per block: a block's
+ * retired instructions are counted, charged and TLB-hit in one step
+ * when it ends (Block::totalCharge, Block::fetchHits) - nothing inside
+ * a block can read them, since MFPR ICR/TODR are stoppers.  Only the
+ * interval timer's zero crossing must land on an exact instruction, so
+ * it splits the block like the budget does: the driver settles the
+ * prefix up to the crossing instruction, bails if the tick is
+ * deliverable, and otherwise runs on.  A charge made from inside an
+ * instruction (an MMIO register access in a VM) settles the prefix
+ * before it (Cpu::chargeCycles), and the driver plans its next split
+ * after that instruction.  The mid-block hazard checks
+ * (page generation + byte memcmp after stores, window-TLB tag after
+ * any data access) and the fault path (settle the retired prefix, then
+ * dispatch) keep the reference's order.  The lockstep suites in
+ * tests/test_equivalence.cc pin this equivalence.
  *
  * Trace links chain block -> block inside the driver: at a completed
  * block exit the driver scores the lastDir prediction, re-runs
@@ -76,56 +82,25 @@ retireSob(Longword *regs, Psl &psl, int reg, bool geq, VirtAddr target,
 
 } // namespace
 
-/*
- * Per-instruction commit.  With ICCS<RUN> clear, advanceTimer only
- * ever sums into TODR and the cycle counters - commutative, so summing
- * into the deferred batch and charging once at every exit is
- * bit-identical to per-instruction accounting.  With the timer live,
- * count and charge immediately so ICR advances exactly where the
- * reference path puts it.
- */
-#define VVAX_ACCOUNT(charge_v)                                        \
-    do {                                                              \
-        if (defer) {                                                  \
-            ++done;                                                   \
-            if (run_state_ != RunState::Halted)                       \
-                acc += (charge_v);                                    \
-        } else {                                                      \
-            stats_.instructions++;                                    \
-            stats_.blockInstructions++;                               \
-            stats_.threadedInstructions++;                            \
-            if (run_state_ != RunState::Halted)                       \
-                chargeCycles(CycleCategory::GuestExec, (charge_v));   \
-        }                                                             \
-    } while (0)
-
+/* Epilogue for handlers that cannot touch memory (flags == 0 by
+ * construction): nothing they do can make an interrupt deliverable. */
 #define VVAX_DISPATCH()                                               \
     do {                                                              \
         if (++s == end)                                               \
-            goto block_done;                                          \
+            goto split;                                               \
         instr_pc = regs_[PC];                                         \
         goto *s->handler;                                             \
     } while (0)
 
-/* Epilogue for handlers that cannot touch memory (flags == 0 by
- * construction): only the timer can make an interrupt deliverable. */
-#define VVAX_EPI_NOMEM()                                              \
-    do {                                                              \
-        VVAX_ACCOUNT(s->charge);                                      \
-        if (timer_live && pendingDeliverable())                       \
-            goto bail_interrupt;                                      \
-        VVAX_DISPATCH();                                              \
-    } while (0)
-
 /* Epilogue for loads (kTouchesMem): the data walk may have evicted
- * the window's TLB entry. */
+ * the window's TLB entry, and an MMIO register read may have charged
+ * cycles (settling the run up to here). */
 #define VVAX_EPI_TOUCH()                                              \
     do {                                                              \
-        VVAX_ACCOUNT(s->charge);                                      \
-        if (timer_live && pendingDeliverable())                       \
-            goto bail_interrupt;                                      \
         if (win_entry && win_entry->tag != win_tag)                   \
             goto bail_tlb;                                            \
+        if (drv_.charged)                                             \
+            goto charged;                                             \
         VVAX_DISPATCH();                                              \
     } while (0)
 
@@ -135,7 +110,6 @@ retireSob(Longword *regs, Psl &psl, int reg, bool geq, VirtAddr target,
  * synchronously), then the window tag. */
 #define VVAX_EPI_WRITE()                                              \
     do {                                                              \
-        VVAX_ACCOUNT(s->charge);                                      \
         if (*blk->genCell != gen) {                                   \
             if (std::memcmp(blk->hostPage +                           \
                                 (blk->pc & kPageOffsetMask),          \
@@ -146,76 +120,60 @@ retireSob(Longword *regs, Psl &psl, int reg, bool geq, VirtAddr target,
         }                                                             \
         if (run_state_ != RunState::Running || pendingDeliverable())  \
             goto bail_interrupt;                                      \
-        if (win_entry && win_entry->tag != win_tag)                   \
-            goto bail_tlb;                                            \
-        VVAX_DISPATCH();                                              \
+        VVAX_EPI_TOUCH();                                             \
     } while (0)
 
 /* Condition-branch handler: one label per Bxx opcode, the predicate
  * baked in. */
 #define VVAX_CONDBR(label, expr)                                      \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     const bool taken = (expr);                                        \
     regs_[PC] = taken ? static_cast<VirtAddr>(s->imm)                 \
                       : instr_pc + s->len;                            \
     br_taken = taken;                                                 \
-    VVAX_EPI_NOMEM();                                                 \
+    VVAX_DISPATCH();                                                  \
   }
 
 #define VVAX_CMP(label, xexpr, yexpr)                                 \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     const Longword x = (xexpr);                                       \
     const Longword y = (yexpr);                                       \
     regs_[PC] = instr_pc + s->len;                                    \
     setCc(psl_, compareCc(x, y, OpSize::L));                          \
-    VVAX_EPI_NOMEM();                                                 \
+    VVAX_DISPATCH();                                                  \
   }
 
 /* An integer op with a register destination (b), its source
  * pre-resolved as a register or an immediate. */
 #define VVAX_ARITH(label, resultexpr)                                 \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     retireAlu(regs_, psl_, s->b, instr_pc + s->len, (resultexpr));    \
-    VVAX_EPI_NOMEM();                                                 \
+    VVAX_DISPATCH();                                                  \
   }
 
 #define VVAX_SOB(label, geq)                                          \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     br_taken = retireSob(regs_, psl_, s->a, (geq),                    \
                          static_cast<VirtAddr>(s->imm),               \
                          instr_pc + s->len,                           \
                          sobL(regs_[s->a], psl_.c()));                \
-    VVAX_EPI_NOMEM();                                                 \
+    VVAX_DISPATCH();                                                  \
   }
 
 #define VVAX_BLB(label, takenexpr)                                    \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     const bool bit = (regs_[s->a] & 1) != 0;                          \
     const bool taken = (takenexpr);                                   \
     regs_[PC] = taken ? static_cast<VirtAddr>(s->imm)                 \
                       : instr_pc + s->len;                            \
     br_taken = taken;                                                 \
-    VVAX_EPI_NOMEM();                                                 \
+    VVAX_DISPATCH();                                                  \
   }
 
 #define VVAX_MOVMR(label, addrexpr)                                   \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     const VirtAddr addr = (addrexpr);                                 \
     const Longword v = mmu_.readV32(addr, mode);                      \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPost;                             \
     regs_[s->a] = v;                                                  \
     regs_[PC] = instr_pc + s->len;                                    \
     setCc(psl_, logicalCc(v, psl_.c()));                              \
@@ -224,8 +182,6 @@ retireSob(Longword *regs, Psl &psl, int reg, bool geq, VirtAddr target,
 
 #define VVAX_MOVxM(label, addrexpr, valexpr)                          \
   label: {                                                            \
-    if (mapped)                                                       \
-        stats_.tlbHits += s->fetchesPre;                              \
     const VirtAddr addr = (addrexpr);                                 \
     validateOperandWrite(addr, OpSize::L, mode);                      \
     const Longword v = (valexpr);                                     \
@@ -259,37 +215,23 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     };
 
     Block *blk = blk_ref;
-    // Invariants hoisted per chain: no in-block opcode can change the
-    // mode or ICCS (both live in the sensitive set stopsBlock()
-    // rejects), so the current mode and the batching predicate are
+    // Hoisted per chain: no in-block opcode can change the mode (it
+    // lives in the sensitive set stopsBlock() rejects), so it is
     // stable across every trace-link crossing the driver makes.
     const AccessMode mode = psl_.currentMode();
-    const bool defer = !(iccs_ & iccs::kRun);
-    int done = 0;   // instructions retired but not yet counted
-    Cycles acc = 0; // their cycle charges, not yet applied
-    const auto flush = [&] {
-        stats_.instructions += static_cast<std::uint64_t>(done);
-        stats_.blockInstructions += static_cast<std::uint64_t>(done);
-        stats_.threadedInstructions += static_cast<std::uint64_t>(done);
-        done = 0;
-        if (acc != 0) {
-            chargeCycles(CycleCategory::GuestExec, acc);
-            acc = 0;
-        }
-    };
 
     // Per-block state, (re)established at `enter` for every block in
     // the chain.  Declared up front: the computed gotos and the
     // chain-crossing `goto enter` must not jump over initializations.
     const BlockInstr *s = nullptr;
-    const BlockInstr *end = nullptr;
-    bool mapped = false;
+    const BlockInstr *end = nullptr;  // next split: settle, then go on
+    const BlockInstr *stop = nullptr; // end of this block's run
     std::uint64_t win_tag = 0;
-    bool timer_live = false;
     std::uint32_t gen = 0;
     bool br_taken = false;
     bool truncated = false;
     VirtAddr instr_pc = 0;
+    ThreadedBail bail = ThreadedBail::Interrupt;
 
     try {
     enter:
@@ -301,30 +243,37 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         }
         blk->runs++;
         stats_.blockExecutions++;
-        mapped = win_entry != nullptr;
-        win_tag = mapped ? win_entry->tag : 0;
-        // Can the timer fire inside this block?  icr_ only moves by
-        // our own charges, and totalCharge bounds them.
-        timer_live =
-            (iccs_ & iccs::kRun) &&
-            icr_ + static_cast<std::int64_t>(blk->totalCharge) >= 0;
+        win_tag = win_entry != nullptr ? win_entry->tag : 0;
         gen = *blk->genCell;
         br_taken = false;
         {
-            // Remaining budget; the deferred batch is still on the
-            // books, so it counts against the limit here.
-            const std::uint64_t remaining =
-                limit - stats_.instructions -
-                static_cast<std::uint64_t>(done);
+            const std::uint64_t remaining = limit - stats_.instructions;
             std::size_t n = blk->count;
             truncated = remaining < n;
             if (truncated)
                 n = static_cast<std::size_t>(remaining);
             s = blk->instrs.data();
-            end = s + n;
+            stop = s + n;
         }
+        drv_ = DriverRun{blk, s, win_entry != nullptr, false};
+        end = stop;
+        // icr_ only moves by charges, and totalCharge bounds the
+        // block's: most blocks cannot reach the timer's zero crossing.
+        if (!(iccs_ & iccs::kRun) ||
+            icr_ + static_cast<std::int64_t>(blk->totalCharge) < 0)
+            goto run;
+    plan: {
+        // Split after the instruction whose charge brings ICR to zero.
+        std::int64_t icr = icr_;
+        for (end = s; end != stop;) {
+            icr += static_cast<std::int64_t>((end++)->charge);
+            if (icr >= 0)
+                break;
+        }
+    }
+    run:
         if (s == end)
-            goto block_done;
+            goto split;
         instr_pc = regs_[PC];
         goto *s->handler;
 
@@ -333,40 +282,25 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
         Decoded &d = decode_scratch_;
         d.regsAfter = regs_scratch_;
         std::memcpy(d.regsAfter, regs_, sizeof(Longword) * kNumRegs);
-        d.extraCharge = 0;
-        d.suppressBase = false;
-        replayTemplate(blk->tmpls[s->tmplIndex], instr_pc, mapped, d);
+        replayTemplate(blk->tmpls[s->tmplIndex], instr_pc,
+                       win_entry != nullptr, d);
         execute(d);
-        Cycles charge = d.extraCharge;
-        if (!d.suppressBase) {
-            charge +=
-                d.info->baseCycles * cost_.instructionScalePct / 100;
-        }
-        VVAX_ACCOUNT(charge);
         // Hazard flags are dynamic only here: fused ops bake their
         // epilogue into the handler.
-        if (s->flags != 0) {
-            if (s->flags & BlockInstr::kWritesMem) {
-                if (*blk->genCell != gen) {
-                    if (std::memcmp(blk->hostPage +
-                                        (blk->pc & kPageOffsetMask),
-                                    blk->bytes.data(),
-                                    blk->byteLen) != 0)
-                        goto bail_smc;
-                    gen = *blk->genCell;
-                    blk->validGen = gen;
-                }
-                if (run_state_ != RunState::Running ||
-                    pendingDeliverable())
-                    goto bail_interrupt;
-            } else if (timer_live && pendingDeliverable()) {
-                goto bail_interrupt;
+        if (s->flags & BlockInstr::kWritesMem) {
+            if (*blk->genCell != gen) {
+                if (std::memcmp(blk->hostPage +
+                                    (blk->pc & kPageOffsetMask),
+                                blk->bytes.data(), blk->byteLen) != 0)
+                    goto bail_smc;
+                gen = *blk->genCell;
+                blk->validGen = gen;
             }
-            if (win_entry && win_entry->tag != win_tag)
-                goto bail_tlb;
-        } else if (timer_live && pendingDeliverable()) {
-            goto bail_interrupt;
+            if (run_state_ != RunState::Running || pendingDeliverable())
+                goto bail_interrupt;
         }
+        if (s->flags != 0)
+            VVAX_EPI_TOUCH();
         VVAX_DISPATCH();
     }
 
@@ -383,8 +317,6 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     L_MovRAinc: {
         // The source is read before the increment (Rs == Rn stores
         // the old pointer), and Rn moves only once the store is done.
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
         const VirtAddr addr = regs_[s->b];
         validateOperandWrite(addr, OpSize::L, mode);
         const Longword v = regs_[s->a];
@@ -398,12 +330,10 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     VVAX_ARITH(L_ClrR, movL(0, psl_.c()))
 
     L_TstR: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
         const Longword v = regs_[s->a];
         regs_[PC] = instr_pc + s->len;
         setCc(psl_, testCc(v, OpSize::L));
-        VVAX_EPI_NOMEM();
+        VVAX_DISPATCH();
     }
 
     VVAX_ARITH(L_IncR, addL(1, regs_[s->b]))
@@ -430,11 +360,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
 
     L_CmpbAincI: {
         // Read first: a faulting read must leave Rn unincremented.
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
         const Longword x = mmu_.readV8(regs_[s->a], mode);
-        if (mapped)
-            stats_.tlbHits += s->fetchesPost;
         regs_[s->a] += 1;
         regs_[PC] = instr_pc + s->len;
         setCc(psl_, compareCc(x, s->imm, OpSize::B));
@@ -442,11 +368,9 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     }
 
     L_Bra: {
-        if (mapped)
-            stats_.tlbHits += s->fetchesPre;
         regs_[PC] = s->imm;
         br_taken = true;
-        VVAX_EPI_NOMEM();
+        VVAX_DISPATCH();
     }
 
     VVAX_CONDBR(L_Bneq, !psl_.z())
@@ -467,14 +391,34 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     VVAX_BLB(L_Blbc, !bit)
     VVAX_BLB(L_Blbs, bit)
 
+    charged:
+        // A charge from inside instruction s settled the run before
+        // it; settle s as well, then plan from the ICR it left.
+        drv_.charged = false;
+        ++s;
+    split:
+        // Everything before s has retired.  At the end of the block's
+        // run, settle it whole; at a timer crossing, settle the prefix
+        // so the timer fires on the reference's instruction boundary,
+        // then go on unless the tick is deliverable.
+        if (s == stop)
+            goto block_done;
+        settleDriverRun(s);
+        if (pendingDeliverable()) {
+            bail = ThreadedBail::Interrupt;
+            goto bailed;
+        }
+        if (iccs_ & iccs::kRun)
+            goto plan;
+        end = stop;
+        goto run;
+
     block_done:
+        settleDriverRun(s);
         if (truncated) {
             // Ran out of instruction budget mid-block.
-            flush();
-            blk->bails[static_cast<int>(ThreadedBail::Budget)]++;
-            stats_.threadedBails++;
-            blk_ref = blk;
-            return BlockExit::Bailed;
+            bail = ThreadedBail::Budget;
+            goto bailed;
         }
         {
             // Only the fused branch ops (always block-final) set
@@ -489,7 +433,7 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
             // anything deliverable, score the lastDir prediction, then
             // re-run followLink's full guard set.
             if (run_state_ != RunState::Running || pendingDeliverable()) {
-                flush();
+                drv_.blk = nullptr;
                 blk_ref = blk;
                 return exit;
             }
@@ -500,14 +444,12 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
                 stats_.traceLinkMispredicts++;
             Block *next = nullptr;
             Tlb::Entry *nentry = nullptr;
-            const bool chained =
-                trace_links_enabled_ &&
-                stats_.instructions + static_cast<std::uint64_t>(done) <
-                    limit &&
-                followLink(*blk, &next, &nentry);
+            const bool chained = trace_links_enabled_ &&
+                                 stats_.instructions < limit &&
+                                 followLink(*blk, &next, &nentry);
             blk->lastDir = static_cast<Byte>(slot);
             if (!chained) {
-                flush();
+                drv_.blk = nullptr;
                 blk_ref = blk;
                 return exit;
             }
@@ -519,33 +461,33 @@ Cpu::executeThreaded(Block *&blk_ref, Tlb::Entry *win_entry,
     bail_smc:
         // A store changed this block's own bytes: stop before the
         // stale tail (the slow path will re-validate and rebuild).
-        flush();
-        blk->bails[static_cast<int>(ThreadedBail::Smc)]++;
-        stats_.threadedBails++;
-        blk_ref = blk;
-        return BlockExit::Bailed;
-
+        bail = ThreadedBail::Smc;
+        goto bail_after;
     bail_interrupt:
-        flush();
-        blk->bails[static_cast<int>(ThreadedBail::Interrupt)]++;
-        stats_.threadedBails++;
-        blk_ref = blk;
-        return BlockExit::Bailed;
-
+        bail = ThreadedBail::Interrupt;
+        goto bail_after;
     bail_tlb:
         // A data-access walk evicted the entry the block's page is
         // fetched through; the reference would take a TLB miss on the
         // next instruction fetch.
-        flush();
-        blk->bails[static_cast<int>(ThreadedBail::TlbEvict)]++;
+        bail = ThreadedBail::TlbEvict;
+    bail_after:
+        // The hazard showed after instruction s retired; if s halted
+        // the CPU it is counted but not charged.
+        settleDriverRun(s + 1, run_state_ == RunState::Halted
+                                   ? DriverLast::Halted
+                                   : DriverLast::Retired);
+    bailed:
+        blk->bails[static_cast<int>(bail)]++;
         stats_.threadedBails++;
+        drv_ = DriverRun{};
         blk_ref = blk;
         return BlockExit::Bailed;
     } catch (const GuestFault &fault) {
-        // The faulting instruction never entered the batch; the
-        // retired prefix must be on the books before the fault
+        // The retired prefix is on the books before the fault
         // dispatch charges its own cycles.
-        flush();
+        settleDriverRun(s + 1, DriverLast::Faulted);
+        drv_ = DriverRun{};
         dispatchFault(fault, instr_pc, regs_[PC]);
         blk->bails[static_cast<int>(ThreadedBail::Fault)]++;
         stats_.threadedBails++;

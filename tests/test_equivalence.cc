@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <random>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -282,6 +283,8 @@ struct MachineDigest
     Longword psl = 0;
     std::uint64_t ram = 0; //!< FNV-1a over all of physical memory
     Stats stats;
+    Longword icr = 0;  //!< the real interval timer (MFPR ICR)
+    Longword todr = 0; //!< and time of day (MFPR TODR)
     /** FNV-1a over (PC, instructions) at every run() return of a
      *  sliced run; 0 when the program ran in one call. */
     std::uint64_t trail = 0;
@@ -309,6 +312,8 @@ digestOf(RealMachine &m)
     d.psl = m.cpu().psl().raw();
     d.ram = fnv1a(m.memory().ram());
     d.stats = m.stats();
+    m.cpu().readIprInternal(Ipr::ICR, d.icr);
+    m.cpu().readIprInternal(Ipr::TODR, d.todr);
     return d;
 }
 
@@ -329,6 +334,8 @@ expectDigestsEqual(const MachineDigest &fast, const MachineDigest &ref)
     EXPECT_EQ(fast.stats.modifyFaults, ref.stats.modifyFaults);
     EXPECT_EQ(fast.stats.translationFaults, ref.stats.translationFaults);
     EXPECT_EQ(fast.stats.accessViolations, ref.stats.accessViolations);
+    EXPECT_EQ(fast.icr, ref.icr) << "ICR";
+    EXPECT_EQ(fast.todr, ref.todr) << "TODR";
     EXPECT_EQ(fast.trail, ref.trail) << "run() budget boundaries";
     EXPECT_TRUE(fast.stats == ref.stats)
         << "every Stats field must be bit-identical";
@@ -1086,12 +1093,13 @@ TEST(ThreadedTierLockstep, ColdBlocksRetireThroughTheDriver)
  * halts.  When @p data is non-empty it receives the guest-physical
  * bytes from @p data_pa on.  A nonzero @p slice runs the program
  * @p slice instructions per run() call and records where every call
- * stopped in the digest's trail.
+ * stopped in the digest's trail.  A VM does its disk I/O the @p io
+ * way.
  */
 MachineDigest
 lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
                 std::span<Byte> data = {}, PhysAddr data_pa = 0,
-                std::uint64_t slice = 0)
+                std::uint64_t slice = 0, VmIoMode io = VmIoMode::Kcall)
 {
     constexpr std::uint64_t kBudget = 10000000;
     const auto image = b.finish();
@@ -1121,7 +1129,9 @@ lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
     MachineDigest d;
     if (virtualized) {
         Hypervisor hv(m);
-        VirtualMachine &vm = hv.createVm(VmConfig{});
+        VmConfig vc;
+        vc.ioMode = io;
+        VirtualMachine &vm = hv.createVm(vc);
         hv.loadVmImage(vm, b.origin(), image);
         hv.startVm(vm, b.origin());
         drive([&](std::uint64_t n) { hv.run(n); },
@@ -1153,21 +1163,22 @@ lockstepProgram(CodeBuilder &b, bool virtualized, ExecTier tier,
  */
 template <typename Build>
 MachineDigest
-tiersMatchReference(Build build, bool virtualized, std::uint64_t slice = 0)
+tiersMatchReference(Build build, bool virtualized, std::uint64_t slice = 0,
+                    VmIoMode io = VmIoMode::Kcall)
 {
     CodeBuilder ref_b = build();
     const MachineDigest ref = lockstepProgram(
-        ref_b, virtualized, ExecTier::Reference, {}, 0, slice);
+        ref_b, virtualized, ExecTier::Reference, {}, 0, slice, io);
     CodeBuilder fast_b = build();
     {
         SCOPED_TRACE("fast tier");
         expectDigestsEqual(lockstepProgram(fast_b, virtualized,
-                                           ExecTier::Fast, {}, 0, slice),
+                                           ExecTier::Fast, {}, 0, slice, io),
                            ref);
     }
     CodeBuilder threaded_b = build();
     const MachineDigest threaded = lockstepProgram(
-        threaded_b, virtualized, ExecTier::Threaded, {}, 0, slice);
+        threaded_b, virtualized, ExecTier::Threaded, {}, 0, slice, io);
     SCOPED_TRACE("threaded tier");
     expectDigestsEqual(threaded, ref);
     return threaded;
@@ -1402,6 +1413,283 @@ TEST(ThreadedTierLockstep, StopperBlockEdgesMatchReference)
             }
         }
     }
+}
+
+/** Where timerSweepLoop() keeps its tick histogram: one longword per
+ *  byte offset of the swept block, counting ticks taken there. */
+constexpr PhysAddr kTickHistogram = 0x7000;
+constexpr PhysAddr kSweepIcr = kLoopData + 8;  //!< MFPR ICR at the end
+constexpr PhysAddr kSweepTodr = kLoopData + 12; //!< MFPR TODR at the end
+
+/**
+ * An 8-instruction block - a Generic op (ADDL3), a store and a fused
+ * load that faults on every trip - under a live interval timer whose
+ * period grows by one cycle a round, so the zero crossing lands on
+ * every instruction of the block.  Three phases: the tick delivered
+ * (the handler histograms its saved PC), the tick masked by ICCS<IE>
+ * clear and then by IPL 31, so the driver runs on past the split into
+ * the faulting load.  Bare, the load reads past the end of RAM and the
+ * machine-check handler points R4 back into RAM; in a VM it reads a
+ * fresh page every trip and takes a shadow-fill fault.  Each round
+ * also runs the stoppers that carry an extra charge (MOVPSL, PROBER,
+ * MOVC3): as driver ops they would be charged their base cost only.
+ * The program ends by storing MFPR ICR and TODR.  @p boundaries, when
+ * given, receives the byte offsets from the start of the block of the
+ * instruction boundaries a tick can be taken at.
+ */
+CodeBuilder
+timerSweepLoop(bool virtualized, std::vector<Longword> *boundaries = nullptr)
+{
+    constexpr Longword kRounds = 40;
+    constexpr Longword kTrips = 12;
+    constexpr Longword kPeriod = 97;
+    constexpr Longword kRamEnd = MachineConfig{}.ramBytes;
+    CodeBuilder b(0x200);
+    Label tick = b.newLabel();
+    Label mcheck = b.newLabel();
+    Label block = b.newLabel();
+    std::vector<Label> marks;
+    b.movl(Op::imm(0x3000), Op::reg(SP));
+    b.mtpr(Op::imm(0x2800), Ipr::ISP);
+    b.movl(Op::immLabel(tick),
+           Op::abs(static_cast<Longword>(ScbVector::IntervalTimer)));
+    b.movl(Op::immLabel(mcheck),
+           Op::abs(static_cast<Longword>(ScbVector::MachineCheck)));
+    b.movl(Op::imm(0x20000), Op::reg(AP)); // the VM's fresh pages
+    b.mtpr(Op::lit(0), Ipr::IPL);
+    // R0-R5 are MOVC3's; R7 counts the trips.
+    const Byte ld = virtualized ? AP : R4;
+    for (const int phase : {0, 1, 2}) {
+        Label outer = b.newLabel();
+        Label loop = phase == 0 ? block : b.newLabel();
+        b.movl(Op::imm(kRounds), Op::reg(R11));
+        b.movl(Op::imm(static_cast<Longword>(-kPeriod)), Op::reg(R8));
+        if (phase == 2)
+            b.mtpr(Op::lit(31), Ipr::IPL);
+        b.bind(outer);
+        b.movl(Op::imm(kLoopData), Op::reg(R5));
+        b.movpsl(Op::reg(FP));
+        b.prober(Op::lit(0), Op::lit(4), Op::deferred(R5));
+        b.movc3(Op::lit(8), Op::deferred(R5), Op::disp(16, R5));
+        b.movl(Op::imm(kLoopData), Op::reg(R5));
+        b.mtpr(Op::reg(R8), Ipr::NICR);
+        b.mtpr(Op::imm(iccs::kTransfer | iccs::kRun |
+                       (phase == 1 ? 0 : iccs::kInterruptEnable)),
+               Ipr::ICCS);
+        b.movl(Op::imm(kTrips), Op::reg(R6));
+        b.bind(loop);
+        const auto boundary = [&] {
+            if (phase == 0)
+                marks.push_back(b.bindHere());
+        };
+        if (virtualized)
+            b.addl2(Op::imm(kPageSize), Op::reg(AP));
+        else
+            b.movl(Op::imm(kRamEnd), Op::reg(R4));
+        boundary();
+        b.incl(Op::reg(R7));
+        boundary();
+        b.addl3(Op::reg(R7), Op::reg(R1), Op::reg(R2));
+        boundary();
+        b.movl(Op::reg(R2), Op::deferred(R5));
+        boundary();
+        b.movl(Op::deferred(ld), Op::reg(R3));
+        boundary();
+        b.addl2(Op::reg(R3), Op::reg(R1));
+        boundary();
+        b.xorl2(Op::reg(R7), Op::reg(R0));
+        boundary();
+        b.sobgtr(Op::reg(R6), loop);
+        b.subl2(Op::lit(1), Op::reg(R8));
+        b.sobgtr(Op::reg(R11), outer);
+        if (phase == 2)
+            b.mtpr(Op::lit(0), Ipr::IPL); // the pending tick is taken
+    }
+    b.mfpr(Ipr::ICR, Op::abs(kSweepIcr));
+    b.mfpr(Ipr::TODR, Op::abs(kSweepTodr));
+    b.mtpr(Op::lit(0), Ipr::ICCS);
+    b.halt();
+
+    b.align(4);
+    b.bind(tick);
+    Label outside = b.newLabel();
+    b.subl3(Op::immLabel(block), Op::deferred(SP), Op::reg(R10));
+    b.cmpl(Op::reg(R10), Op::imm(kPageSize));
+    b.bgtru(outside);
+    b.incl(Op::abs(kTickHistogram).idx(R10));
+    b.bind(outside);
+    b.incl(Op::reg(R9));
+    b.mtpr(Op::imm(iccs::kInterrupt | iccs::kRun |
+                   iccs::kInterruptEnable),
+           Ipr::ICCS);
+    b.rei();
+
+    b.align(4);
+    b.bind(mcheck);
+    b.addl2(Op::lit(4), Op::reg(SP)); // pop the machine-check parameter
+    b.movl(Op::imm(0x20000), Op::reg(R4));
+    b.rei();
+
+    if (boundaries != nullptr) {
+        boundaries->assign(1, 0); // the SOBGTR's taken branch
+        for (const Label l : marks)
+            boundaries->push_back(b.labelAddress(l) - b.labelAddress(block));
+    }
+    return b;
+}
+
+TEST(ThreadedTierLockstep, TimerTickAtEveryBlockOffsetMatchesReference)
+{
+    for (const std::uint64_t slice : {std::uint64_t{0}, std::uint64_t{5}}) {
+        for (const bool virtualized : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (virtualized ? "virtualized" : "bare")
+                         << " slice " << slice);
+            const MachineDigest threaded = tiersMatchReference(
+                [&] { return timerSweepLoop(virtualized); }, virtualized,
+                slice);
+            EXPECT_EQ(threaded.regs[R7], 3u * 40u * 12u);
+            EXPECT_GT(threaded.stats.threadedInstructions,
+                      threaded.stats.instructions / 2);
+            EXPECT_GT(threaded.stats.threadedGenericSteps, 0u);
+            if (virtualized)
+                continue;
+            // Every boundary of the block saw a tick delivered, on
+            // every tier (the histogram is in the RAM digest).
+            std::vector<Longword> boundaries;
+            CodeBuilder b = timerSweepLoop(false, &boundaries);
+            std::vector<Byte> hist(4 * (kPageSize + 1));
+            lockstepProgram(b, false, ExecTier::Threaded, hist,
+                            kTickHistogram, slice);
+            for (const Longword off : boundaries) {
+                Longword n = 0;
+                std::memcpy(&n, &hist[4 * off], 4);
+                EXPECT_GT(n, 0u) << "no tick at block offset " << off;
+            }
+        }
+    }
+}
+
+/**
+ * A VM driving its MMIO disk registers (VmIoMode::Mmio) from a hot
+ * block: every register load and store charges the VMM's emulation
+ * cost from inside the instruction, so the real timer's tick often
+ * lands inside one.  The driver must settle the instructions retired
+ * before that charge first, or ICR reaches zero in a different order
+ * than on the reference.
+ */
+CodeBuilder
+mmioRegisterLoop()
+{
+    // The register page follows the VM's 1 MiB of memory.
+    constexpr Longword kCsr = VmConfig{}.memBytes;
+    CodeBuilder b(0x200);
+    Label loop = b.newLabel();
+    b.movl(Op::imm(2000), Op::reg(R6));
+    b.bind(loop);
+    b.incl(Op::reg(R0));
+    b.movl(Op::abs(kCsr), Op::reg(R3));
+    b.addl3(Op::reg(R0), Op::reg(R3), Op::reg(R2));
+    b.movl(Op::reg(R2), Op::abs(kCsr + 4));
+    b.xorl2(Op::reg(R2), Op::reg(R1));
+    b.incl(Op::reg(R7));
+    b.sobgtr(Op::reg(R6), loop);
+    b.halt();
+    return b;
+}
+
+TEST(ThreadedTierLockstep, MmioChargesInsideBlocksMatchReference)
+{
+    for (const std::uint64_t slice : {std::uint64_t{0}, std::uint64_t{5}}) {
+        SCOPED_TRACE(::testing::Message() << "slice " << slice);
+        const MachineDigest threaded = tiersMatchReference(
+            mmioRegisterLoop, true, slice, VmIoMode::Mmio);
+        EXPECT_EQ(threaded.regs[R7], 2000u);
+        EXPECT_EQ(threaded.regs[R3] & DiskDevice::kCsrReady,
+                  DiskDevice::kCsrReady);
+        EXPECT_GT(threaded.stats.threadedInstructions,
+                  threaded.stats.instructions / 2);
+    }
+}
+
+/** The VVAX_DUMP_HOT_BLOCKS line of the cached block at @p pc, or ""
+ *  when no block starts there. */
+std::string
+hotBlockLine(const Cpu &cpu, VirtAddr pc)
+{
+    std::ostringstream dump;
+    cpu.dumpHotBlocks(dump, -1);
+    char key[24];
+    std::snprintf(key, sizeof key, "pc=%08x ", pc);
+    std::istringstream lines(dump.str());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find(key) != std::string::npos)
+            return line;
+    }
+    return "";
+}
+
+/** The counter @p name ("hits", "runs") on a hotBlockLine(). */
+std::uint64_t
+blockCounter(const std::string &line, const std::string &name)
+{
+    const std::size_t at = line.find(" " + name + "=");
+    return at == std::string::npos
+               ? 0
+               : std::stoull(line.substr(at + name.size() + 2));
+}
+
+TEST(ThreadedTierLockstep, PatchedLoopHeadRegrowsAndLinks)
+{
+    // A 300-pass loop whose 7-instruction head block has its ADDL2
+    // literal patched once, on the 11th pass, by a store outside the
+    // block.  The rebuilt head must be whole again (a stale predecode
+    // entry must not cut it short for good), and although it is
+    // entered only through a trace link from then on, it must link to
+    // its successor, which then stops taking slow dispatches.
+    MachineConfig mc;
+    mc.level = MicrocodeLevel::Modified;
+    RealMachine m(mc);
+    m.cpu().setExecTier(ExecTier::Threaded);
+    CodeBuilder b(0x200);
+    Label loop = b.newLabel();
+    Label patch = b.newLabel();
+    Label skip = b.newLabel();
+    b.movl(Op::imm(300), Op::reg(R6));
+    b.clrl(Op::reg(R0));
+    b.bind(loop);
+    b.incl(Op::reg(R1));
+    b.bind(patch);
+    b.addl2(Op::lit(1), Op::reg(R0));
+    b.incl(Op::reg(R2));
+    b.incl(Op::reg(R3));
+    b.addl2(Op::reg(R0), Op::reg(R4));
+    b.cmpl(Op::reg(R6), Op::imm(290));
+    b.bneq(skip);
+    b.movb(Op::lit(2), Op::abs(b.labelAddress(patch) + 1));
+    b.bind(skip);
+    b.sobgtr(Op::reg(R6), loop);
+    b.halt();
+    auto image = b.finish();
+    m.loadImage(b.origin(), image);
+    m.cpu().setPc(b.origin());
+    m.cpu().psl().setIpl(31);
+    m.run(100000);
+    ASSERT_EQ(m.cpu().haltReason(), HaltReason::HaltInstruction);
+    EXPECT_EQ(m.cpu().reg(R0), 11u + 2u * 289u);
+
+    const std::string head = hotBlockLine(m.cpu(), b.labelAddress(loop));
+    const std::string succ = hotBlockLine(m.cpu(), b.labelAddress(skip));
+    SCOPED_TRACE(head + "\n" + succ);
+    EXPECT_NE(head.find(" instrs=7 "), std::string::npos)
+        << "the loop head must regrow to its 7 instructions";
+    EXPECT_NE(head.find(" taken->"), std::string::npos)
+        << "the rebuilt head must become a link source";
+    EXPECT_GT(blockCounter(head, "runs"), 280u);
+    // Up to the threshold's worth of slow dispatches before the head
+    // first links and again after its rebuild, not one per pass.
+    EXPECT_LT(blockCounter(succ, "hits"), 4 * Block::kLinkThreshold)
+        << "the successor must be reached through the head's link";
 }
 
 /**
