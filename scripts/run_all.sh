@@ -58,8 +58,8 @@ env TSAN_OPTIONS=halt_on_error=1 \
     { cat test_tsan_output.txt; exit 1; }
 tail -n 2 test_tsan_output.txt
 
-# Deterministic fault sweep (ARCHITECTURE.md §6): drive the lockstep
-# and supervised-survival tests under an aggressive VVAX_FAULT_PLAN
+# Deterministic fault sweep (ARCHITECTURE.md §6): drive the lockstep,
+# containment and supervised-fleet tests under an aggressive VVAX_FAULT_PLAN
 # for eight seeds, on both the regular and sanitizer trees.  The plan
 # covers the fleet-era mailbox-delay class too (delayed cross-thread
 # mailbox delivery).  Any seed that breaks

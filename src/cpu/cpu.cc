@@ -46,15 +46,22 @@ Cpu::dumpHotBlocks(std::ostream &os, int top_n) const
         if (b.pc != Block::kNoPc)
             live.push_back(&b);
     }
+    // Ranked by the instructions the driver ran from each block: its
+    // entries (slow-path dispatches and chained entries through trace
+    // links alike) times its length.  A block that starts at its
+    // stopper never enters the driver, so ties fall back to slow-path
+    // dispatches.
+    auto weight = [](const Block *b) { return b->runs * b->count; };
     std::sort(live.begin(), live.end(),
-              [](const Block *a, const Block *b) {
-                  return a->hits > b->hits;
+              [&](const Block *a, const Block *b) {
+                  return weight(a) != weight(b) ? weight(a) > weight(b)
+                                                : a->hits > b->hits;
               });
     if (top_n >= 0 && live.size() > static_cast<std::size_t>(top_n))
         live.resize(static_cast<std::size_t>(top_n));
 
     os << "hot superblocks (" << live.size() << " of " << slots.size()
-       << " slots, by slow-path dispatches):\n";
+       << " slots, by driver entries x instrs):\n";
     if (stats_.threadedCompiles != 0) {
         os << "  threaded driver: " << stats_.threadedCompiles
            << " blocks resolved, " << stats_.threadedDiscards

@@ -274,9 +274,10 @@ class Cpu
     }
     ExecTier execTier() const { return exec_tier_; }
     /**
-     * Dump the @p top_n hottest cached superblocks (by slow-path
-     * dispatch count) with their outbound link edges - the
-     * VVAX_DUMP_HOT_BLOCKS observability hook.
+     * Dump the @p top_n hottest cached superblocks (by driver
+     * entries, slow-path and chained, times block length) with their
+     * outbound link edges - the VVAX_DUMP_HOT_BLOCKS observability
+     * hook.
      */
     void dumpHotBlocks(std::ostream &os, int top_n) const;
 

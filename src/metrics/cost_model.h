@@ -90,7 +90,6 @@ struct CostModel
     // --- Fault handling and recovery paths (src/fault/) -----------------
     Cycles vmmFaultDiskService = 30; //!< fail a disk op / ring descriptor
     Cycles vmmMachineCheck = 90;     //!< compose + reflect a machine check
-    Cycles vmmVmRestart = 400;       //!< supervisor snapshot restore
 
     /** Preset table for @p model. */
     static CostModel forModel(MachineModel model);

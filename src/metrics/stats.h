@@ -90,10 +90,8 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
  *                         per-exit-reason breakdown of the paper's
  *                         Section 7 trap-frequency argument
  *   faultsInjected ..   - fault injection and recovery, by class
- *   vmRestarts            (fault/fault_plan.h); injection sites key on
- *                         architectural ordinals, so these are Arch.
- *                         vmRestarts counts VmSupervisor restores of
- *                         the snapshot taken at watch()
+ *   diskRetries           (fault/fault_plan.h); injection sites key on
+ *                         architectural ordinals, so these are Arch
  *   block* .. threaded* - superblocks translated / entered / retired
  *                         in / dropped; trace-link edges formed /
  *                         crossed / cut / mispredicted; blocks bound to
@@ -107,8 +105,7 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
  *                         shared, disk blocks written since fork
  *   sup*                - health state changes, golden-image
  *                         microreboots, members quarantined, CoW pages
- *                         recopied by microreboots, member-slices spent
- *                         Degraded
+ *                         recopied by microreboots
  */
 #define VVAX_STATS_FIELDS(X)                                           \
     X(Arch, std::uint64_t, instructions)                               \
@@ -131,7 +128,6 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
     X(Arch, FaultClassCounts, faultsInjected)                          \
     X(Arch, std::uint64_t, machineChecksDelivered)                     \
     X(Arch, std::uint64_t, diskRetries)                                \
-    X(Arch, std::uint64_t, vmRestarts)                                 \
     X(Host, std::uint64_t, blockBuilds)                                \
     X(Host, std::uint64_t, blockExecutions)                            \
     X(Host, std::uint64_t, blockInstructions)                          \
@@ -154,8 +150,7 @@ using FaultClassCounts = std::array<std::uint64_t, kNumFaultClasses>;
     X(Gauge, std::uint64_t, supHealthTransitions)                      \
     X(Gauge, std::uint64_t, supMicroreboots)                           \
     X(Gauge, std::uint64_t, supQuarantines)                            \
-    X(Gauge, std::uint64_t, supPagesRecopied)                          \
-    X(Gauge, std::uint64_t, supTimeInDegraded)
+    X(Gauge, std::uint64_t, supPagesRecopied)
 
 /** Counters maintained by the machine as it runs. */
 struct Stats

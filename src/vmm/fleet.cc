@@ -10,18 +10,27 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 namespace vvax {
+
+namespace {
+
+/** Ceiling of a slot's doubling microreboot backoff, in slices. */
+constexpr int kBackoffCapSlices = 8;
+/** Heartbeat backstop: a live member that retires no instruction for
+ *  this many consecutive slices is wedged, and is halted with
+ *  VmmPolicy into the normal crash path. */
+constexpr int kHeartbeatSlices = 4;
+
+} // namespace
 
 const char *
 memberHealthName(MemberHealth health)
 {
     switch (health) {
       case MemberHealth::Healthy:     return "healthy";
-      case MemberHealth::Degraded:    return "degraded";
       case MemberHealth::Restarting:  return "restarting";
       case MemberHealth::Quarantined: return "quarantined";
     }
@@ -35,17 +44,9 @@ HypervisorFleet::HypervisorFleet(FleetConfig config)
 
 HypervisorFleet::~HypervisorFleet() = default;
 
-void
-HypervisorFleet::checkSpawnBudget() const
-{
-    if (config_.spawnBudget > 0 && size() >= config_.spawnBudget)
-        throw std::runtime_error("HypervisorFleet: spawn budget exhausted");
-}
-
 int
 HypervisorFleet::addVm(const VmConfig &config)
 {
-    checkSpawnBudget();
     const int index = static_cast<int>(members_.size());
     auto member = std::make_unique<Member>();
     member->index = index;
@@ -69,7 +70,6 @@ HypervisorFleet::addVm(const VmConfig &config)
 int
 HypervisorFleet::addForkedMember(const GoldenImage &image)
 {
-    checkSpawnBudget();
     const int index = static_cast<int>(members_.size());
     auto member = std::make_unique<Member>();
     member->index = index;
@@ -224,23 +224,11 @@ HypervisorFleet::transition(Member &m, MemberHealth to)
 void
 HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
 {
-    const FleetSupervisionConfig &sup = config_.fleetSupervision;
-    // Per-slice deltas of the member's own architectural counters are
-    // the state machine's only inputs (plus the slice count implicit
-    // in being called once per slice), so every classification below
-    // is a pure function of the member's own history - identical on
-    // every worker count.
-    const VmStats now = m.hv->totalStats();
-    const std::uint64_t d_faulted = now.faultedDiskOps - m.lastFaultedDiskOps;
-    const std::uint64_t d_ops = now.diskOps - m.lastDiskOps;
-    const std::uint64_t d_mchk = now.machineChecks - m.lastMachineChecks;
-    m.lastFaultedDiskOps = now.faultedDiskOps;
-    m.lastDiskOps = now.diskOps;
-    m.lastMachineChecks = now.machineChecks;
-
-    if (m.health == MemberHealth::Degraded)
-        m.slicesDegraded++;
-
+    // The member's halt reason and the instructions its slice retired
+    // are the state machine's only inputs (plus the slice count
+    // implicit in being called once per slice), so every transition
+    // below is a pure function of the member's own history - identical
+    // on every worker count.
     if (m.health == MemberHealth::Restarting) {
         // Exponential backoff, counted in the member's own slices:
         // the member idles (halted, run() is a no-op) until the
@@ -252,38 +240,17 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
 
     if (memberLive(m)) {
         // Heartbeat backstop: a live member that retires nothing for
-        // heartbeatSlices consecutive slices is wedged in a way the
+        // kHeartbeatSlices consecutive slices is wedged in a way the
         // guest-level watchdog cannot see; halt it into the normal
         // crash path below.
-        if (retired == 0 && m.budgetLeft > 0) {
-            if (++m.idleSlices >= std::max(1, sup.heartbeatSlices)) {
-                m.hv->suspendAll();
-                m.hv->vm(0).haltReason = VmHaltReason::VmmPolicy;
-            }
-        } else {
+        if (retired != 0 || m.budgetLeft == 0) {
             m.idleSlices = 0;
+            return;
         }
-    }
-
-    if (memberLive(m)) {
-        // Healthy <-> Degraded on fault pressure: an injected-disk-
-        // fault share above num/den of the slice's disk ops, or a
-        // machine-check storm, are the precursors the crash-only
-        // design watches instead of trying to repair in place.
-        const bool storm =
-            (d_faulted > 0 &&
-             d_faulted * sup.degradeFaultDen > d_ops * sup.degradeFaultNum) ||
-            (sup.degradeMachineChecks > 0 &&
-             d_mchk >= sup.degradeMachineChecks);
-        if (storm) {
-            m.cleanSlices = 0;
-            if (m.health == MemberHealth::Healthy)
-                transition(m, MemberHealth::Degraded);
-        } else if (m.health == MemberHealth::Degraded &&
-                   ++m.cleanSlices >= sup.recoverSlices) {
-            transition(m, MemberHealth::Healthy);
-        }
-        return;
+        if (++m.idleSlices < kHeartbeatSlices)
+            return;
+        m.hv->suspendAll();
+        m.hv->vm(0).haltReason = VmHaltReason::VmmPolicy;
     }
 
     // Halted.  A clean exit (HaltInstruction) or a non-restartable
@@ -301,8 +268,7 @@ HypervisorFleet::checkHealth(Member &m, std::uint64_t retired)
     }
     transition(m, MemberHealth::Restarting);
     m.backoffLeft = m.nextBackoff;
-    m.nextBackoff = std::min(m.nextBackoff * 2,
-                             std::max(1, sup.backoffCapSlices));
+    m.nextBackoff = std::min(m.nextBackoff * 2, kBackoffCapSlices);
 }
 
 void
@@ -354,13 +320,9 @@ HypervisorFleet::microreboot(Member &m)
     // floor (the VMM metadata pages reconstruction rewrote).
     m.pagesRecopied += m.machine->memory().cowStats().pagesTouched;
 
-    // Slice baselines and streak counters restart with the
-    // incarnation; the backoff schedule deliberately does not - a
-    // flapping slot keeps waiting longer.
-    m.lastFaultedDiskOps = 0;
-    m.lastDiskOps = 0;
-    m.lastMachineChecks = 0;
-    m.cleanSlices = 0;
+    // The heartbeat streak restarts with the incarnation; the backoff
+    // schedule deliberately does not - a flapping slot keeps waiting
+    // longer.
     m.idleSlices = 0;
     transition(m, MemberHealth::Healthy);
 }
@@ -379,7 +341,6 @@ HypervisorFleet::publishMemberGauges(Member &m) const
     stats.supMicroreboots = m.microreboots;
     stats.supQuarantines = m.health == MemberHealth::Quarantined ? 1 : 0;
     stats.supPagesRecopied = m.pagesRecopied;
-    stats.supTimeInDegraded = m.slicesDegraded;
 }
 
 void

@@ -35,13 +35,13 @@
  *
  * Crash-only supervision (FleetConfig::fleetSupervision, §6d) is the
  * fleet's one recovery path.  Each member carries a health state
- * machine - Healthy -> Degraded (fault pressure) -> Restarting (crash,
- * waiting out backoff) -> back to Healthy via golden-image
- * microreboot, or Quarantined once the restart error budget is gone.
- * Every decision is made at the member's slice boundary on the worker
- * that owns it, keyed only on the member's own architectural counters
- * and its own slice count, so health histories and healthy-member
- * digests are bit-identical for every worker count.
+ * machine - Healthy -> Restarting (crash, waiting out backoff) -> back
+ * to Healthy via golden-image microreboot, or Quarantined once the
+ * restart error budget is gone.  Every decision is made at the
+ * member's slice boundary on the worker that owns it, keyed only on
+ * the member's halt reason, the instructions its slice retired and its
+ * own slice count, so health histories and healthy-member digests are
+ * bit-identical for every worker count.
  * Recovery is a re-fork of the member's golden image (O(pages-touched),
  * golden_image.h) with a fresh copy of its armed fault plan - the
  * member replays the same injection schedule in its next incarnation -
@@ -74,7 +74,6 @@ namespace vvax {
  */
 enum class MemberHealth : Byte {
     Healthy = 0,
-    Degraded,    //!< fault pressure above thresholds; watched closely
     Restarting,  //!< crashed; waiting out microreboot backoff
     Quarantined, //!< restart budget exhausted; permanently done
 };
@@ -85,33 +84,16 @@ const char *memberHealthName(MemberHealth health);
 struct FleetSupervisionConfig
 {
     bool enabled = false;
-    /**
-     * Degrade when a slice's injected-disk-fault share exceeds
-     * num/den of its disk ops (faulted*den > ops*num), or when a
-     * single slice absorbs degradeMachineChecks machine checks - the
-     * "storm" signals that precede most guest crashes.
-     */
-    std::uint32_t degradeFaultNum = 1;
-    std::uint32_t degradeFaultDen = 4;
-    std::uint64_t degradeMachineChecks = 4;
-    /** Clean slices a Degraded member needs to return to Healthy. */
-    int recoverSlices = 2;
     /** Microreboots allowed per member before Quarantined. */
     int restartBudget = 3;
     /**
      * Slices of backoff before the first microreboot; doubles after
-     * every crash of the slot (flapping members wait longer), capped.
-     * Backoff is counted in the member's own slices - a member in
-     * backoff is halted but not done, and no sibling waits on it.
+     * every crash of the slot (flapping members wait longer), capped
+     * at 8 slices.  Backoff is counted in the member's own slices - a
+     * member in backoff is halted but not done, and no sibling waits
+     * on it.
      */
     int backoffSlices = 1;
-    int backoffCapSlices = 8;
-    /**
-     * Heartbeat backstop: a live member retiring zero instructions
-     * for this many consecutive slices is declared wedged, halted
-     * with VmmPolicy and sent through the normal crash path.
-     */
-    int heartbeatSlices = 4;
 };
 
 struct FleetConfig
@@ -129,12 +111,6 @@ struct FleetConfig
     MachineConfig machine;
     /** Configuration applied to every member's Hypervisor. */
     HypervisorConfig hypervisor;
-    /**
-     * Maximum members this fleet may ever host (its spawn budget);
-     * 0 means unbounded.  addVm/addForkedMember throw once reached -
-     * the density backstop for golden-image fork storms.
-     */
-    int spawnBudget = 0;
     /**
      * Crash-only supervision: health state machine plus golden-image
      * microreboot with backoff and an error budget (see the file
@@ -266,21 +242,14 @@ class HypervisorFleet
         int microrebootsLeft = 0;  //!< restart error budget remaining
         int backoffLeft = 0;       //!< slices until pending microreboot
         int nextBackoff = 0;       //!< doubling backoff schedule
-        int cleanSlices = 0;       //!< consecutive clean while Degraded
         int idleSlices = 0;        //!< heartbeat: zero-progress slices
-        // Previous-slice counter baselines for per-slice deltas.
-        std::uint64_t lastFaultedDiskOps = 0;
-        std::uint64_t lastDiskOps = 0;
-        std::uint64_t lastMachineChecks = 0;
         // Member-lifetime supervision counters; published into the
         // machine's Stats sup* gauges when stats are merged.
         std::uint64_t healthTransitions = 0;
         std::uint64_t microreboots = 0;
         std::uint64_t pagesRecopied = 0;
-        std::uint64_t slicesDegraded = 0;
     };
 
-    void checkSpawnBudget() const;
     void runSlice(Member &m);
     // ----- Crash-only supervision (fleet.cc §6d) ----------------------------
     /** Health state machine + recovery, run at the slice boundary by

@@ -163,15 +163,6 @@ class Hypervisor
     bool vmDiskTransferBatch(VirtualMachine &vm, PhysAddr ring,
                              Longword n_desc);
 
-    /**
-     * Drop every cached shadow translation for @p vm and return it to
-     * the physical-mode identity slot.  Shadow tables are pure caches
-     * of the VM's page tables, so this is always safe; an in-place
-     * snapshot restore (vmm/snapshot.h) uses it to make the restored
-     * tables re-fill on demand.
-     */
-    void resetVmShadow(VirtualMachine &vm);
-
   private:
     // ----- Layout ----------------------------------------------------------
     PhysAddr allocPages(Longword pages);

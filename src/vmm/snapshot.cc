@@ -1,8 +1,5 @@
 #include "vmm/snapshot.h"
 
-#include <cstring>
-#include <stdexcept>
-
 namespace vvax {
 
 VmSnapshot
@@ -104,40 +101,6 @@ restoreVm(Hypervisor &hv, const VmSnapshot &s)
     // for a fresh VM): the first touch of every page re-faults and
     // refills from the restored VM page tables.
     return vm;
-}
-
-void
-restoreVmInPlace(Hypervisor &hv, VirtualMachine &vm, const VmSnapshot &s)
-{
-    if (s.memory.size() !=
-            static_cast<std::size_t>(vm.memPages) * kPageSize ||
-        s.disk.size() != vm.disk.size()) {
-        throw std::invalid_argument(
-            "snapshot geometry does not match the target VM");
-    }
-    hv.suspendAll();
-
-    hv.machine().memory().writeBlock(
-        static_cast<PhysAddr>(vm.basePfn) << kPageShift, s.memory);
-    vm.disk.overwrite(s.disk);
-
-    applyVmSnapshotState(vm, s);
-
-    // Execution between snapshot and restore is being undone, so its
-    // transient per-VM state must not leak into the replay: no failed
-    // disk op precedes the restored VM's first, the watchdog starts
-    // fresh, and output the rolled-back execution buffered but never
-    // flushed is discarded (the flushed transcript stays - console
-    // output is an external effect, not VM state).
-    vm.lastDiskOpFailed = false;
-    vm.watchdogTicks = 0;
-    vm.pendingConsoleOut.clear();
-    vm.mmioCsr = 0;
-    vm.mmioBlock = 0;
-    vm.mmioCount = 0;
-    vm.mmioAddr = 0;
-
-    hv.resetVmShadow(vm);
 }
 
 } // namespace vvax

@@ -83,32 +83,11 @@ VmSnapshot snapshotVm(Hypervisor &hv, const VirtualMachine &vm);
 VirtualMachine &restoreVm(Hypervisor &hv, const VmSnapshot &snap);
 
 /**
- * Roll an *existing* VM back to @p snap without allocating anything:
- * the VM keeps its identity (id, real-memory slice, MMIO window) and
- * has its memory, disk and virtualized state overwritten.  The shadow
- * page tables are dropped (they are caches — see the file comment)
- * via Hypervisor::resetVmShadow, and the console transcript is *not*
- * replayed: output already emitted stays emitted, and the restored VM
- * continues the transcript from where the real console is.
- *
- * This is the supervisor's crash-recovery primitive (VmSupervisor):
- * snapshot once when supervision begins, and whenever the VM halts
- * with a fault-class reason, restore that snapshot in place and
- * continue.
- *
- * Throws std::invalid_argument if @p snap's geometry (memory or disk
- * size) does not match the VM it is being restored into.
- */
-void restoreVmInPlace(Hypervisor &hv, VirtualMachine &vm,
-                      const VmSnapshot &snap);
-
-/**
  * Copy @p snap's virtualized registers, execution context, run state,
  * pending interrupts and uptime mailbox into @p vm — everything
  * except the memory/disk payloads and the console transcript.  The
- * shared core of restoreVm/restoreVmInPlace, also used by
- * GoldenImage::fork (which gets memory and disk from the sealed image
- * instead of snapshot vectors).
+ * core of restoreVm, also used by GoldenImage::fork (which gets
+ * memory and disk from the sealed image instead of snapshot vectors).
  */
 void applyVmSnapshotState(VirtualMachine &vm, const VmSnapshot &snap);
 

@@ -1,6 +1,5 @@
 #include "vmm/vm_monitor.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <optional>
@@ -131,76 +130,6 @@ VmMonitor::command(std::string_view line)
         return os.str();
     }
     return "?";
-}
-
-// ---------------------------------------------------------------------------
-// VmSupervisor
-// ---------------------------------------------------------------------------
-
-void
-VmSupervisor::watch(VirtualMachine &vm)
-{
-    for (auto &w : watched_) {
-        if (w.vm == &vm) {
-            // Re-watching resets the baseline and the budget.
-            w.snap = snapshotVm(hv_, vm);
-            w.restartsLeft = config_.restartBudget;
-            return;
-        }
-    }
-    watched_.push_back(Watched{&vm, snapshotVm(hv_, vm),
-                               config_.restartBudget});
-}
-
-int
-VmSupervisor::poll()
-{
-    int restarted = 0;
-    for (auto &w : watched_) {
-        VirtualMachine &vm = *w.vm;
-        if (!vm.halted() || !restartable(vm.haltReason) ||
-            w.restartsLeft <= 0)
-            continue;
-        w.restartsLeft--;
-        restoreVmInPlace(hv_, vm, w.snap);
-        restarts_++;
-        hv_.machine().stats().vmRestarts++;
-        hv_.machine().cpu().chargeCycles(
-            CycleCategory::VmmIo, hv_.machine().costModel().vmmVmRestart);
-        restarted++;
-    }
-    return restarted;
-}
-
-RunState
-VmSupervisor::runSupervised(std::uint64_t max_instructions)
-{
-    const std::uint64_t start = hv_.machine().stats().instructions;
-    RunState state = RunState::Halted;
-    for (;;) {
-        const std::uint64_t used =
-            hv_.machine().stats().instructions - start;
-        if (used >= max_instructions)
-            break;
-        const std::uint64_t slice =
-            std::min<std::uint64_t>(config_.sliceInstructions,
-                                    max_instructions - used);
-        state = hv_.run(slice);
-        const int restarted = poll();
-        if (restarted > 0)
-            continue;
-        // Done when nothing is left to run: every started VM is
-        // halted (and the poll above declined to restart it).
-        bool live = false;
-        for (int i = 0; i < hv_.numVms(); ++i) {
-            const VirtualMachine &vm = hv_.vm(i);
-            if (vm.started && !vm.halted())
-                live = true;
-        }
-        if (!live)
-            break;
-    }
-    return state;
 }
 
 } // namespace vvax

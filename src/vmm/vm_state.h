@@ -64,19 +64,6 @@ class VmDisk
         std::memcpy(view_.data(), bytes.data(), bytes.size());
     }
 
-    /**
-     * Overwrite the contents in place without moving the storage
-     * (restoreVmInPlace: the data() pointer must stay stable).  Sizes
-     * must match; every block becomes part of the private overlay.
-     */
-    void
-    overwrite(std::span<const Byte> bytes)
-    {
-        std::memcpy(view_.data(), bytes.data(),
-                    std::min(bytes.size(), view_.size()));
-        markWritten(0, dirty_.size());
-    }
-
     std::size_t size() const { return view_.size(); }
     Byte *data() { return view_.data(); }
     const Byte *data() const { return view_.data(); }
@@ -174,9 +161,9 @@ enum class VmHaltReason : Byte {
 };
 
 /**
- * Halt reasons a supervisor recovers from (VmSupervisor restores,
- * the fleet microreboots): the crash-class reasons.  None (healthy)
- * and HaltInstruction (an orderly guest shutdown) are final.
+ * Halt reasons the fleet recovers from by microreboot: the
+ * crash-class reasons.  None (healthy) and HaltInstruction (an
+ * orderly guest shutdown) are final.
  */
 constexpr bool
 restartable(VmHaltReason reason)

@@ -706,24 +706,4 @@ Hypervisor::vmDiskTransferBatch(VirtualMachine &vm, PhysAddr ring,
     return all_ok;
 }
 
-void
-Hypervisor::resetVmShadow(VirtualMachine &vm)
-{
-    // Shadow tables are pure caches of the VM's own page tables, so an
-    // in-place restore only has to drop every cached translation; the
-    // next resume refills them on demand.  Slot bookkeeping resets too:
-    // cached process keys describe address spaces of the pre-restore
-    // execution.
-    flushShadowS(vm);
-    for (int s = 0; s < static_cast<int>(vm.slots.size()); ++s) {
-        flushShadowSlot(vm, s);
-        vm.slots[s].inUse = false;
-        vm.slots[s].processKey = 0;
-        vm.slots[s].lastUsed = 0;
-        vm.slots[s].savedP0lr = 0;
-        vm.slots[s].savedP1lr = 0;
-    }
-    vm.activeSlot = vm.physModeSlot;
-}
-
 } // namespace vvax

@@ -1690,6 +1690,16 @@ TEST(ThreadedTierLockstep, PatchedLoopHeadRegrowsAndLinks)
     // first links and again after its rebuild, not one per pass.
     EXPECT_LT(blockCounter(succ, "hits"), 4 * Block::kLinkThreshold)
         << "the successor must be reached through the head's link";
+    // The hot-block dump ranks by driver entries times length, so the
+    // head - entered through a link on nearly every pass - is the
+    // hottest block although it took a single slow dispatch.
+    std::ostringstream top;
+    m.cpu().dumpHotBlocks(top, 1);
+    char head_key[24];
+    std::snprintf(head_key, sizeof head_key, "pc=%08x ",
+                  b.labelAddress(loop));
+    EXPECT_NE(top.str().find(head_key), std::string::npos)
+        << "a top-1 dump must name the loop head:\n" << top.str();
 }
 
 /**

@@ -4,7 +4,7 @@
  * grammar and decision semantics, the bare-disk and VMM injection
  * sites, guest-side graceful degradation (retry with backoff, batch
  * fallback, machine-check survival), the no-forward-progress
- * watchdog, supervised restart from snapshots, and the two headline
+ * watchdog, the restartable halt reasons, and the two headline
  * robustness properties of the paper's security-kernel argument:
  *
  *  - determinism: the same plan produces bit-identical outcomes on
@@ -32,7 +32,6 @@
 #include "tests/harness.h"
 #include "vmm/hypervisor.h"
 #include "vmm/kcall.h"
-#include "vmm/vm_monitor.h"
 
 namespace vvax {
 namespace {
@@ -630,7 +629,7 @@ TEST(Watchdog, DoesNotFireOnAHealthyGuest)
 }
 
 // ---------------------------------------------------------------------------
-// Supervised restart
+// Restartable halt reasons (the fleet's microreboot rule)
 // ---------------------------------------------------------------------------
 
 TEST(Supervisor, ClassifiesRestartableHaltReasons)
@@ -643,71 +642,6 @@ TEST(Supervisor, ClassifiesRestartableHaltReasons)
     EXPECT_TRUE(restartable(VmHaltReason::BadPageTable));
     EXPECT_TRUE(restartable(VmHaltReason::VmmPolicy));
     EXPECT_TRUE(restartable(VmHaltReason::VmmInternal));
-}
-
-TEST(Supervisor, RestartsACrashingVmUntilTheBudgetIsSpent)
-{
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    Hypervisor hv(m);
-
-    // The guest makes a little progress, then touches VM-physical
-    // memory beyond MEMSIZE: a deterministic, restartable crash.
-    CodeBuilder b(0x200);
-    b.incl(Op::abs(0x3000));
-    b.movl(Op::abs(0x00F00000), Op::reg(R0));
-    b.halt();
-
-    VmConfig vc;
-    vc.memBytes = 256 * 1024;
-    VirtualMachine &vm = hv.createVm(vc);
-    auto image = b.finish();
-    hv.loadVmImage(vm, 0x200, image);
-    hv.startVm(vm, 0x200);
-
-    VmSupervisorConfig sc;
-    sc.sliceInstructions = 5000;
-    sc.restartBudget = 3;
-    VmSupervisor sup(hv, sc);
-    sup.watch(vm);
-    sup.runSupervised(2000000);
-
-    EXPECT_EQ(sup.restarts(), 3u) << "the budget bounds the restarts";
-    EXPECT_EQ(m.stats().vmRestarts, 3u);
-    EXPECT_EQ(vm.haltReason, VmHaltReason::NonExistentMemory)
-        << "after the last restart the crash stands";
-    EXPECT_EQ(m.memory().read32(vm.vmPhysToReal(0x3000)), 1u)
-        << "each restart rolled the counter back to the snapshot";
-}
-
-TEST(Supervisor, CleanHaltIsNotRestarted)
-{
-    MachineConfig mc;
-    mc.ramBytes = 16 * 1024 * 1024;
-    mc.level = MicrocodeLevel::Modified;
-    RealMachine m(mc);
-    Hypervisor hv(m);
-
-    CodeBuilder b(0x200);
-    b.movl(Op::imm(0x600D), Op::abs(0x3000));
-    b.halt();
-
-    VmConfig vc;
-    vc.memBytes = 256 * 1024;
-    VirtualMachine &vm = hv.createVm(vc);
-    auto image = b.finish();
-    hv.loadVmImage(vm, 0x200, image);
-    hv.startVm(vm, 0x200);
-
-    VmSupervisor sup(hv);
-    sup.watch(vm);
-    sup.runSupervised(2000000);
-
-    EXPECT_EQ(sup.restarts(), 0u);
-    EXPECT_EQ(vm.haltReason, VmHaltReason::HaltInstruction);
-    EXPECT_EQ(m.memory().read32(vm.vmPhysToReal(0x3000)), 0x600Du);
 }
 
 // ---------------------------------------------------------------------------
@@ -995,7 +929,7 @@ TEST(FaultSweep, LockstepHoldsUnderTheEnvironmentPlan)
     EXPECT_TRUE(fast.stats == ref.stats);
 }
 
-TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
+TEST(FaultSweep, GuestIsContainedUnderTheEnvironmentPlan)
 {
     MachineConfig mc;
     mc.ramBytes = 16 * 1024 * 1024;
@@ -1010,9 +944,7 @@ TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
     hv.loadVmImage(vm, 0, img.image);
     hv.startVm(vm, img.entry);
 
-    VmSupervisor sup(hv);
-    sup.watch(vm);
-    ASSERT_NO_THROW(sup.runSupervised(400000000));
+    ASSERT_NO_THROW(hv.run(400000000));
 
     // The host machine wound down in an orderly fashion whatever the
     // plan did to the guest.
@@ -1025,9 +957,8 @@ TEST(FaultSweep, SupervisedGuestSurvivesTheEnvironmentPlan)
             EXPECT_EQ(m.stats().faultsInjected[c], 0u)
                 << "no plan, no injected faults (class " << c << ")";
     } else {
-        // Under a plan the guest either rode it out or exhausted the
-        // supervisor's budget on a restartable halt - never anything
-        // the VMM couldn't contain.
+        // Under a plan the guest either rode it out or halted with a
+        // reason the VMM contains - never anything else.
         EXPECT_TRUE(magic == MiniVmsImage::kResultMagic ||
                     vm.haltReason == VmHaltReason::HaltInstruction ||
                     restartable(vm.haltReason));

@@ -9,8 +9,8 @@
  * run bit-identically; the eager-copy fallback is architecturally
  * indistinguishable from kernel CoW; CoW accounting reports the
  * touched fraction, not the image size; self-modifying code in one
- * fork never perturbs its siblings; and the fleet's microreboot and
- * spawn budgets bound golden-image crash recovery and fleet density.
+ * fork never perturbs its siblings; and the fleet's microreboot
+ * budget bounds golden-image crash recovery.
  */
 
 #include <gtest/gtest.h>
@@ -462,7 +462,7 @@ TEST(GoldenImage, ForkBeforeSealThrows)
 }
 
 // ---------------------------------------------------------------------------
-// Fleet integration: microreboot and spawn budgets
+// Fleet integration: the microreboot budget
 // ---------------------------------------------------------------------------
 
 /** Seal a crash-looping guest (reads past MEMSIZE after bumping a
@@ -522,24 +522,6 @@ TEST(GoldenFleet, ReforkBudgetBoundsCrashRecovery)
         << "totals must include the retired incarnations";
     EXPECT_EQ(total.cowForkedRam, 1u)
         << "cow gauges describe live members, not retired ones";
-}
-
-TEST(GoldenFleet, SpawnBudgetBoundsFleetDensity)
-{
-    const GoldenImage gold = sealCrashGuest();
-
-    FleetConfig fc;
-    fc.machine = gold.machineConfig();
-    fc.spawnBudget = 2;
-    HypervisorFleet fleet(fc);
-    fleet.addForkedMember(gold);
-    fleet.addForkedMember(gold);
-    EXPECT_THROW(fleet.addForkedMember(gold), std::runtime_error);
-    VmConfig vc;
-    vc.memBytes = 256 * 1024;
-    EXPECT_THROW(fleet.addVm(vc), std::runtime_error)
-        << "the spawn budget covers both member kinds";
-    EXPECT_EQ(fleet.size(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@
  *   vvax_run --forks=4 --golden=minivms --supervise
  *            [--workers=N] [--plan "seed=7;disk-transient:every=3"]
  *                                   run the forks as a crash-only
- *                                   supervised HypervisorFleet:
- *                                   health state machine + golden-
- *                                   image microreboot (fleet.h §6d),
- *                                   printing per-member health and
- *                                   the supervision counters
+ *                                   supervised HypervisorFleet: a
+ *                                   crashed fork is microrebooted
+ *                                   from the golden image, then
+ *                                   quarantined once its restart
+ *                                   budget is spent (fleet.h §6d);
+ *                                   prints per-member health
+ *                                   (healthy, restarting or
+ *                                   quarantined) and the supervision
+ *                                   counters
  *
  * Fork mode boots the guest for --max instructions (or until it
  * halts), seals it into a golden image (vmm/golden_image.h), then
