@@ -53,8 +53,8 @@ enum class RunState : Byte { Running, Waiting, Halted };
  * includes everything below it; docs/ARCHITECTURE.md §5c):
  *
  *  - Reference: byte-at-a-time interpreter through the full MMU walk
- *    (the lockstep oracle; selecting it turns on Mmu's reference
- *    path).
+ *    (the lockstep oracle; the only tier with Mmu's reference path
+ *    on).
  *  - Fast: pointer-carrying TLB + predecoded-instruction cache,
  *    per-instruction dispatch only.
  *  - Threaded: superblocks with trace links, every runnable block
@@ -62,7 +62,8 @@ enum class RunState : Byte { Running, Waiting, Halted };
  *    default).
  *
  * Selected at construction by VVAX_EXEC_TIER=ref|fast|threaded or at
- * run time via Cpu::setExecTier.  Purely a host-side knob: every tier
+ * run time via Cpu::setExecTier, the one knob: the MMU's reference
+ * path has no switch of its own.  Purely a host-side knob: every tier
  * retires bit-identical architectural state and Stats.
  */
 enum class ExecTier : Byte { Reference = 0, Fast, Threaded };
@@ -261,10 +262,10 @@ class Cpu
     void setTraceLinksEnabled(bool on) { trace_links_enabled_ = on; }
     bool traceLinksEnabled() const { return trace_links_enabled_; }
     /**
-     * Select the host execution tier (see ExecTier).  The MMU's
-     * reference path follows the tier both ways: on for Reference, so
-     * the whole fast-path stack is bypassed, and off for every other
-     * tier.
+     * Select the host execution tier (see ExecTier).  This is the
+     * only caller of Mmu::setReferencePath (private, Cpu is its
+     * friend): the reference path is on for Reference, so the whole
+     * fast-path stack is bypassed, and off for every other tier.
      */
     void
     setExecTier(ExecTier tier)

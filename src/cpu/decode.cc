@@ -18,6 +18,16 @@
  * never be missed) and otherwise go through the MMU's virtual
  * accessors, which keep the architectural counters bit-identical
  * either way.
+ *
+ * A full decode also captures the predecoded-instruction template
+ * (cpu/predecode.h) as it goes: each specifier stores the kind,
+ * registers and displacement or immediate it has just computed, and
+ * each operand the number of stream fetches it made, into a scratch
+ * template that record() copies into the cache slot only once the
+ * whole instruction has decoded.  The operand-specifier grammar and
+ * its reserved-addressing-mode checks therefore exist once, here.
+ * Cpu::replayTemplate stays a separate implementation of the
+ * data-access half, so the lockstep tests compare the two.
  */
 
 #include "cpu/cpu.h"
@@ -57,8 +67,8 @@ class DecodeContext
 {
   public:
     DecodeContext(Cpu &cpu, Cpu::Decoded &d)
-        : cpu_(cpu), mmu_(cpu.mmu_), d_(d), cursor_(cpu.regs_[PC]),
-          mode_(cpu.psl_.currentMode())
+        : cpu_(cpu), mmu_(cpu.mmu_), d_(d), pc_(cpu.regs_[PC]),
+          cursor_(pc_), mode_(cpu.psl_.currentMode())
     {
     }
 
@@ -77,7 +87,9 @@ class DecodeContext
         if (slot.pc == cursor_ && tryReplay(slot))
             return;
 
-        const VirtAddr pc = cursor_;
+        // The operand template this decode captures as it goes; it
+        // reaches the slot only if the whole instruction decodes.
+        PredecodedInstr tmpl;
 
         Word opcode = fetch8();
         if (opcode == 0xFD)
@@ -86,12 +98,17 @@ class DecodeContext
         d_.info = instrInfo(opcode);
         if (!d_.info)
             throw GuestFault::simple(ScbVector::ReservedInstruction);
+        tmpl.opcode = opcode;
+        tmpl.info = d_.info;
+        tmpl.opcodeFetches = fetches_;
 
         for (int i = 0; i < d_.info->nOperands; ++i) {
             DecodedOperand &op = d_.operands[i];
             op = DecodedOperand{};
             op.access = d_.info->operands[i].access;
             op.size = d_.info->operands[i].size;
+            PredecodedOp &t = tmpl.ops[i];
+            const Byte first = fetches_;
             if (op.access == OpAccess::Branch) {
                 Longword disp;
                 if (op.size == OpSize::B)
@@ -99,13 +116,16 @@ class DecodeContext
                 else
                     disp = sext16(fetch16());
                 op.value = cursor_ + disp; // branch target
+                t.kind = PdKind::Branch;
+                t.disp = op.value;
             } else {
-                decodeSpecifier(op, /*allow_index=*/true);
+                decodeSpecifier(op, t, /*allow_index=*/true);
             }
+            t.fetches = static_cast<Byte>(fetches_ - first);
         }
 
         d_.nextPc = cursor_;
-        record(slot, pc);
+        record(slot, tmpl);
     }
 
   private:
@@ -183,6 +203,7 @@ class DecodeContext
     Byte
     fetch8()
     {
+        ++fetches_;
         if (windowHit(cursor_) || refillWindowCounted(cursor_)) {
             const Byte b = win_base_[cursor_ & kPageOffsetMask];
             cursor_ += 1;
@@ -197,6 +218,7 @@ class DecodeContext
     Word
     fetch16()
     {
+        ++fetches_;
         if ((cursor_ & kPageOffsetMask) <= kPageSize - 2 &&
             (windowHit(cursor_) || refillWindowCounted(cursor_))) {
             Word w;
@@ -212,6 +234,7 @@ class DecodeContext
     Longword
     fetch32()
     {
+        ++fetches_;
         if ((cursor_ & kPageOffsetMask) <= kPageSize - 4 &&
             (windowHit(cursor_) || refillWindowCounted(cursor_))) {
             Longword l;
@@ -262,233 +285,35 @@ class DecodeContext
     }
 
     /**
-     * After a successful full decode of the instruction at @p pc,
-     * capture its bytes and operand template into @p slot when it is
-     * single-page, short enough, and the window covers it.  The
-     * template is rebuilt from the captured bytes, so the entry is
-     * self-consistent even if the page changed under the decode.
+     * After a successful full decode, store @p tmpl - the operand
+     * template captured by that decode - with the instruction's bytes
+     * into @p slot when the instruction is single-page, short enough,
+     * and the window still covers it (so the bytes stored are the
+     * bytes the decode fetched).
      */
     void
-    record(PredecodedInstr &slot, VirtAddr pc)
+    record(PredecodedInstr &slot, PredecodedInstr &tmpl)
     {
-        const Longword len = d_.nextPc - pc;
-        const Longword off = pc & kPageOffsetMask;
+        const Longword len = d_.nextPc - pc_;
+        const Longword off = pc_ & kPageOffsetMask;
         if (len == 0 || len > PredecodedInstr::kMaxBytes ||
             off + len > kPageSize)
             return;
-        if ((pc & ~kPageOffsetMask) != win_page_ ||
+        if ((pc_ & ~kPageOffsetMask) != win_page_ ||
             (win_entry_ && win_entry_->tag != win_tag_))
             return; // window unavailable: fetched via readV*
-        slot.pc = ~VirtAddr{0};
-        slot.len = static_cast<Byte>(len);
-        std::memcpy(slot.bytes.data(), win_base_ + off, len);
-        slot.fastMask = 0;
+        tmpl.pc = pc_;
+        tmpl.len = static_cast<Byte>(len);
+        std::memcpy(tmpl.bytes.data(), win_base_ + off, len);
         if (len <= 8) {
-            slot.fastMask = len == 8
+            tmpl.fastMask = len == 8
                 ? ~std::uint64_t{0}
                 : (std::uint64_t{1} << (8 * len)) - 1;
             std::uint64_t b = 0;
-            std::memcpy(&b, slot.bytes.data(), len);
-            slot.fastBytes = b;
+            std::memcpy(&b, tmpl.bytes.data(), len);
+            tmpl.fastBytes = b;
         }
-        if (predecode(slot, pc))
-            slot.pc = pc;
-    }
-
-    /**
-     * Build the operand template from slot.bytes.  Pure function of
-     * the bytes (PC-relative forms fold to absolute addresses using
-     * @p pc); returns false when the instruction is not
-     * representable.  Must consume exactly slot.len bytes.
-     */
-    static bool
-    predecode(PredecodedInstr &slot, VirtAddr pc)
-    {
-        const Byte *b = slot.bytes.data();
-        int pos = 0;
-        Word opcode = b[pos++];
-        slot.opcodeFetches = 1;
-        if (opcode == 0xFD) {
-            opcode = 0xFD00 | b[pos++];
-            slot.opcodeFetches = 2;
-        }
-        slot.opcode = opcode;
-        slot.info = instrInfo(opcode);
-        if (!slot.info)
-            return false;
-
-        for (int i = 0; i < slot.info->nOperands; ++i) {
-            PredecodedOp &t = slot.ops[i];
-            t = PredecodedOp{};
-            const OperandSpec &spec = slot.info->operands[i];
-            if (spec.access == OpAccess::Branch) {
-                t.kind = PdKind::Branch;
-                t.fetches = 1;
-                Longword disp;
-                if (spec.size == OpSize::B) {
-                    if (pos + 1 > slot.len)
-                        return false;
-                    disp = sext8(b[pos]);
-                    pos += 1;
-                } else {
-                    if (pos + 2 > slot.len)
-                        return false;
-                    Word w;
-                    std::memcpy(&w, b + pos, 2);
-                    disp = sext16(w);
-                    pos += 2;
-                }
-                t.disp = pc + pos + disp; // branch target
-                continue;
-            }
-            if (!predecodeSpecifier(t, b, pos, slot.len, pc, spec.size,
-                                    /*allow_index=*/true))
-                return false;
-        }
-        return pos == slot.len;
-    }
-
-    /** One specifier for predecode(); mirrors decodeSpecifier(). */
-    static bool
-    predecodeSpecifier(PredecodedOp &t, const Byte *b, int &pos,
-                       int len, VirtAddr pc, OpSize size,
-                       bool allow_index)
-    {
-        if (pos + 1 > len)
-            return false;
-        const Byte spec = b[pos++];
-        const Byte rn = spec & 0xF;
-        const Byte m = spec >> 4;
-        t.reg = rn;
-        t.fetches++;
-
-        auto le16 = [&](int p) {
-            Word w;
-            std::memcpy(&w, b + p, 2);
-            return w;
-        };
-        auto le32 = [&](int p) {
-            Longword l;
-            std::memcpy(&l, b + p, 4);
-            return l;
-        };
-
-        switch (m) {
-          case 0x0: case 0x1: case 0x2: case 0x3:
-            t.kind = PdKind::Literal;
-            t.disp = spec & 0x3F;
-            return true;
-          case 0x4: { // index [Rx]: base specifier follows
-            if (!allow_index)
-                return false;
-            const Byte idx = rn;
-            if (!predecodeSpecifier(t, b, pos, len, pc, size,
-                                    /*allow_index=*/false))
-                return false;
-            // The base must be a memory-addressing form.
-            if (t.kind == PdKind::Literal ||
-                t.kind == PdKind::Immediate ||
-                t.kind == PdKind::Register)
-                return false;
-            t.indexReg = idx;
-            return true;
-          }
-          case 0x5:
-            t.kind = PdKind::Register;
-            return true;
-          case 0x6:
-            t.kind = PdKind::RegDeferred;
-            return true;
-          case 0x7:
-            t.kind = PdKind::AutoDec;
-            return true;
-          case 0x8:
-            if (rn == PC) { // immediate
-                t.kind = PdKind::Immediate;
-                t.off = static_cast<Byte>(pos);
-                switch (size) {
-                  case OpSize::B:
-                    if (pos + 1 > len)
-                        return false;
-                    t.disp = b[pos];
-                    pos += 1;
-                    t.fetches++;
-                    break;
-                  case OpSize::W:
-                    if (pos + 2 > len)
-                        return false;
-                    t.disp = le16(pos);
-                    pos += 2;
-                    t.fetches++;
-                    break;
-                  case OpSize::L:
-                    if (pos + 4 > len)
-                        return false;
-                    t.disp = le32(pos);
-                    pos += 4;
-                    t.fetches++;
-                    break;
-                  case OpSize::Q:
-                    if (pos + 8 > len)
-                        return false;
-                    t.disp = le32(pos);
-                    t.imm2 = le32(pos + 4);
-                    pos += 8;
-                    t.fetches += 2;
-                    break;
-                }
-                return true;
-            }
-            t.kind = PdKind::AutoInc;
-            return true;
-          case 0x9:
-            if (rn == PC) { // absolute
-                if (pos + 4 > len)
-                    return false;
-                t.kind = PdKind::Absolute;
-                t.disp = le32(pos);
-                pos += 4;
-                t.fetches++;
-                return true;
-            }
-            t.kind = PdKind::AutoIncDeferred;
-            return true;
-          case 0xA: case 0xB: case 0xC: case 0xD: case 0xE:
-          case 0xF: {
-            Longword disp;
-            if (m <= 0xB) {
-                if (pos + 1 > len)
-                    return false;
-                disp = sext8(b[pos]);
-                pos += 1;
-            } else if (m <= 0xD) {
-                if (pos + 2 > len)
-                    return false;
-                disp = sext16(le16(pos));
-                pos += 2;
-            } else {
-                if (pos + 4 > len)
-                    return false;
-                disp = le32(pos);
-                pos += 4;
-            }
-            t.fetches++;
-            const bool deferred = (m & 1) != 0;
-            if (rn == PC) {
-                // PC-relative: the base is the cursor after the
-                // displacement, a constant for these bytes.
-                t.kind = deferred ? PdKind::AbsoluteDeferred
-                                  : PdKind::Absolute;
-                t.disp = pc + pos + disp;
-            } else {
-                t.kind = deferred ? PdKind::DispDeferred
-                                  : PdKind::Disp;
-                t.disp = disp;
-            }
-            return true;
-          }
-        }
-        return false;
+        slot = tmpl;
     }
 
     Longword
@@ -504,17 +329,20 @@ class DecodeContext
     }
 
     /**
-     * Decode one operand specifier into @p op.  @p allow_index guards
-     * against index-mode recursion ([Rx] base must itself be a
+     * Decode one operand specifier into @p op, capturing its
+     * byte-determined half (kind, registers, displacement or
+     * immediate) into @p t for the icache template.  @p allow_index
+     * guards against index-mode recursion ([Rx] base must itself be a
      * memory-addressing specifier).
      */
     void
-    decodeSpecifier(DecodedOperand &op, bool allow_index)
+    decodeSpecifier(DecodedOperand &op, PredecodedOp &t, bool allow_index)
     {
         const OpSize size = op.size;
         const Byte spec = fetch8();
         const Byte rn = spec & 0xF;
         const Byte m = spec >> 4;
+        t.reg = rn;
 
         switch (m) {
           case 0x0: case 0x1: case 0x2: case 0x3: // short literal
@@ -523,20 +351,23 @@ class DecodeContext
                     ScbVector::ReservedAddressingMode);
             op.isLiteral = true;
             op.value = spec & 0x3F;
+            t.kind = PdKind::Literal;
+            t.disp = op.value;
             return;
 
-          case 0x4: { // index [Rx]
+          case 0x4: { // index [Rx]: the base is captured into t too
             if (!allow_index || rn == PC)
                 throw GuestFault::simple(
                     ScbVector::ReservedAddressingMode);
             DecodedOperand base;
             base.access = OpAccess::Address; // EA only for the base
             base.size = size;
-            decodeSpecifier(base, /*allow_index=*/false);
+            decodeSpecifier(base, t, /*allow_index=*/false);
             if (base.isRegister || base.isLiteral)
                 throw GuestFault::simple(
                     ScbVector::ReservedAddressingMode);
             op.addr = base.addr + d_.regsAfter[rn] * sizeBytes(size);
+            t.indexReg = rn;
             break;
           }
 
@@ -548,6 +379,7 @@ class DecodeContext
             }
             op.isRegister = true;
             op.reg = rn;
+            t.kind = PdKind::Register;
             if (op.access == OpAccess::Read ||
                 op.access == OpAccess::Modify ||
                 op.access == OpAccess::VField) {
@@ -567,6 +399,7 @@ class DecodeContext
                 throw GuestFault::simple(
                     ScbVector::ReservedAddressingMode);
             op.addr = d_.regsAfter[rn];
+            t.kind = PdKind::RegDeferred;
             break;
 
           case 0x7: // autodecrement -(Rn)
@@ -575,6 +408,7 @@ class DecodeContext
                     ScbVector::ReservedAddressingMode);
             d_.regsAfter[rn] -= sizeBytes(size);
             op.addr = d_.regsAfter[rn];
+            t.kind = PdKind::AutoDec;
             break;
 
           case 0x8: // autoincrement (Rn)+ / immediate
@@ -595,46 +429,49 @@ class DecodeContext
                     op.value2 = fetch32();
                     break;
                 }
+                t.kind = PdKind::Immediate;
+                t.off = static_cast<Byte>(op.addr - pc_);
+                t.disp = op.value;
+                t.imm2 = op.value2;
                 return;
             }
             op.addr = d_.regsAfter[rn];
             d_.regsAfter[rn] += sizeBytes(size);
+            t.kind = PdKind::AutoInc;
             break;
 
           case 0x9: // autoincrement deferred @(Rn)+ / absolute
             if (rn == PC) {
                 op.addr = fetch32();
+                t.kind = PdKind::Absolute;
+                t.disp = op.addr;
             } else {
                 const VirtAddr ptr = d_.regsAfter[rn];
                 d_.regsAfter[rn] += 4;
                 op.addr = mmu_.readV32(ptr, mode_);
+                t.kind = PdKind::AutoIncDeferred;
             }
             break;
 
-          case 0xA: case 0xB: { // byte displacement (deferred)
-            const Longword disp = sext8(fetch8());
-            const Longword base =
-                rn == PC ? cursor_ : d_.regsAfter[rn];
-            op.addr = base + disp;
-            if (m == 0xB)
-                op.addr = mmu_.readV32(op.addr, mode_);
-            break;
-          }
-          case 0xC: case 0xD: { // word displacement (deferred)
-            const Longword disp = sext16(fetch16());
-            const Longword base =
-                rn == PC ? cursor_ : d_.regsAfter[rn];
-            op.addr = base + disp;
-            if (m == 0xD)
-                op.addr = mmu_.readV32(op.addr, mode_);
-            break;
-          }
-          case 0xE: case 0xF: { // long displacement (deferred)
-            const Longword disp = fetch32();
-            const Longword base =
-                rn == PC ? cursor_ : d_.regsAfter[rn];
-            op.addr = base + disp;
-            if (m == 0xF)
+          case 0xA: case 0xB: case 0xC: case 0xD: case 0xE:
+          case 0xF: { // byte, word, long displacement (deferred)
+            const Longword disp = m <= 0xB ? sext8(fetch8())
+                                : m <= 0xD ? sext16(fetch16())
+                                           : fetch32();
+            const bool deferred = (m & 1) != 0;
+            if (rn == PC) {
+                // PC-relative: the base is the cursor after the
+                // displacement, a constant for these bytes.
+                op.addr = cursor_ + disp;
+                t.kind = deferred ? PdKind::AbsoluteDeferred
+                                  : PdKind::Absolute;
+                t.disp = op.addr;
+            } else {
+                op.addr = d_.regsAfter[rn] + disp;
+                t.kind = deferred ? PdKind::DispDeferred : PdKind::Disp;
+                t.disp = disp;
+            }
+            if (deferred)
                 op.addr = mmu_.readV32(op.addr, mode_);
             break;
           }
@@ -668,8 +505,10 @@ class DecodeContext
     Cpu &cpu_;
     Mmu &mmu_;
     Cpu::Decoded &d_;
+    const VirtAddr pc_; //!< the instruction's address
     VirtAddr cursor_;
     const AccessMode mode_;
+    Byte fetches_ = 0; //!< fetch8/16/32 calls so far
     // Zero-copy instruction window: host pointer into the RAM page
     // the cursor is fetching from (see refillWindow()).  win_entry_
     // is non-null for mapped windows: the latched TLB entry, checked

@@ -272,11 +272,10 @@ Cpu::run(std::uint64_t max_instructions)
 {
     const std::uint64_t limit = stats_.instructions + max_instructions;
     std::uint64_t idle_steps = 0;
-    // The superblock path is a host execution strategy: never used on
-    // the reference path or below the Threaded tier, and tracing needs
-    // the per-instruction hook.
-    const bool use_blocks = exec_tier_ == ExecTier::Threaded &&
-                            !mmu_.referencePath() && !trace_;
+    // The superblock path is a host execution strategy: never used
+    // below the Threaded tier, and tracing needs the per-instruction
+    // hook.
+    const bool use_blocks = exec_tier_ == ExecTier::Threaded && !trace_;
     while (run_state_ != RunState::Halted && stats_.instructions < limit) {
         if (use_blocks && run_state_ == RunState::Running) {
             // Mirrors step() for the Running state: deliver at most

@@ -8,9 +8,13 @@
  * stream-independent operand template: everything the byte-level
  * decoder computes that depends only on the bytes (addressing-mode
  * kinds, displacements, immediates, stream-fetch counts), with all
- * PC-relative forms folded to absolute addresses.  Replaying the
- * template performs exactly the data accesses, register side effects
- * and counter updates the byte-level decode would.
+ * PC-relative forms folded to absolute addresses.  The full decode
+ * captures the template while it decodes (decode.cc: each specifier
+ * case stores what it computed, each operand the fetch8/16/32 calls
+ * it made), so there is one specifier parser; the template reaches
+ * the cache only once the whole instruction has decoded.  Replaying
+ * the template performs exactly the data accesses, register side
+ * effects and counter updates the byte-level decode would.
  *
  * The block executor (threaded.cc, docs/ARCHITECTURE.md §5c) builds
  * on the same invariant one level up: a block's Generic instructions
@@ -54,7 +58,7 @@ struct PredecodedOp
     PdKind kind = PdKind::Literal;
     Byte reg = 0;         //!< base register
     Byte indexReg = 0xFF; //!< [Rx] scaling register, 0xFF = none
-    Byte fetches = 0;     //!< stream fetch calls this operand makes
+    Byte fetches = 0;     //!< fetch8/16/32 calls the decode made for it
     Byte off = 0;         //!< immediate bytes' offset from the pc
     Longword disp = 0;    //!< displacement / literal / target / imm
     Longword imm2 = 0;    //!< immediate quad high half

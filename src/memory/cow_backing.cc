@@ -1,7 +1,6 @@
 #include "memory/cow_backing.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -53,12 +52,6 @@ std::size_t roundToHostPage(std::size_t bytes)
 {
     const std::size_t page = hostPageSize();
     return (bytes + page - 1) / page * page;
-}
-
-bool eagerForced()
-{
-    const char *env = std::getenv("VVAX_GOLDEN_EAGER");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
 int simulated_host_alloc_failures = 0;
@@ -237,9 +230,7 @@ CowView CowView::forkOf(const SealedRegion &base, CowBacking policy)
     if (!base.valid())
         throw std::invalid_argument("CowView::forkOf: base region not sealed");
 
-    const bool want_kernel =
-        policy == CowBacking::KernelCow ||
-        (policy == CowBacking::Auto && !eagerForced());
+    const bool want_kernel = policy != CowBacking::EagerCopy;
 
     CowView view;
     view.size_ = base.size();

@@ -9,9 +9,9 @@
  * and the view is a MAP_PRIVATE mapping of it, so the host kernel
  * provides the copy-up: untouched pages stay physically shared across
  * every fork and a write faults in exactly one private host page.  On
- * hosts without memfd/mmap (or with VVAX_GOLDEN_EAGER=1 armed) both
- * fall back to plain heap copies behind the same API - forks still
- * work, they just pay O(image) instead of O(pages-touched).
+ * hosts without memfd/mmap (or under CowBacking::EagerCopy) both fall
+ * back to plain heap copies behind the same API - forks still work,
+ * they just pay O(image) instead of O(pages-touched).
  *
  * The one invariant both implementations keep is pointer stability:
  * data() never moves for the lifetime of the view, because TLB
@@ -172,9 +172,9 @@ class CowView
     /**
      * A private view of @p base: MAP_PRIVATE of its fd under kernel
      * CoW, a full heap copy under the eager fallback.  Policy
-     * CowBacking::Auto honours VVAX_GOLDEN_EAGER=1 and degrades to
-     * the copy when the base is not kernel-backed;
-     * CowBacking::KernelCow throws instead of degrading.
+     * CowBacking::Auto degrades to the copy when the base is not
+     * kernel-backed; CowBacking::KernelCow throws instead of
+     * degrading.
      */
     static CowView forkOf(const SealedRegion &base,
                           CowBacking policy = CowBacking::Auto);

@@ -21,9 +21,10 @@
  * permission verdict.  The fast path takes exactly the accesses the
  * full path would complete on a TLB hit, performs the identical
  * counter updates, and falls back to the full path for everything
- * else, so every architectural counter stays bit-identical.  Calling
- * setReferencePath(true) - or selecting VVAX_EXEC_TIER=ref, which does
- * so - disables it for lockstep equivalence testing.
+ * else, so every architectural counter stays bit-identical.  The
+ * reference execution tier (ExecTier::Reference, VVAX_EXEC_TIER=ref)
+ * disables it for lockstep equivalence testing: Cpu::setExecTier is
+ * the one switch, and sets the reference path from the tier.
  */
 
 #ifndef VVAX_MEMORY_MMU_H
@@ -77,13 +78,7 @@ class Mmu
     void setModifyFaultMode(bool on) { modify_fault_mode_ = on; }
     bool modifyFaultMode() const { return modify_fault_mode_; }
 
-    /**
-     * Disable (true) or re-enable (false) the host fast path.  The
-     * reference path keeps today's full translate()-per-byte walk for
-     * lockstep equivalence testing; both paths must produce
-     * bit-identical architectural state and counters.
-     */
-    void setReferencePath(bool on) { fast_enabled_ = !on; }
+    /** True on the reference execution tier (host fast path off). */
     bool referencePath() const { return !fast_enabled_; }
 
     /**
@@ -465,6 +460,18 @@ class Mmu
     PhysicalMemory &memory() { return memory_; }
 
   private:
+    friend class Cpu;
+
+    /**
+     * Disable (true) or re-enable (false) the host fast path; only
+     * Cpu::setExecTier calls it, so the reference path is on exactly
+     * on the reference tier.  The reference path keeps the full
+     * translate()-per-byte walk for lockstep equivalence testing;
+     * both paths must produce bit-identical architectural state and
+     * counters.
+     */
+    void setReferencePath(bool on) { fast_enabled_ = !on; }
+
     /**
      * Walk the page tables for @p va.  Shared machinery beneath both
      * translate() and probe().  Never faults; returns a status.

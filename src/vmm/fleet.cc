@@ -286,7 +286,6 @@ HypervisorFleet::microreboot(Member &m)
         retiredVmStats_ += m.hv->totalStats();
     }
     m.microrebootsLeft--;
-    m.incarnation++;
     m.microreboots++;
 
     // Fresh plan copy before the fork so a host-alloc rule can fail

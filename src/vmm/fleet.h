@@ -29,9 +29,8 @@
  *    accessors, digest readers, and setFaultPlan are for that thread,
  *    between runs.
  *  - Cross-thread input goes through Hypervisor's mailbox
- *    (postConsoleInput / postInterruptFromHost), which any thread may
- *    call at any time; delivery happens on the owning worker at timer
- *    ticks.
+ *    (postConsoleInput), which any thread may call at any time;
+ *    delivery happens on the owning worker at timer ticks.
  *
  * Crash-only supervision (FleetConfig::fleetSupervision, §6d) is the
  * fleet's one recovery path.  Each member carries a health state
@@ -238,7 +237,6 @@ class HypervisorFleet
         //     model above: the worker that claimed the member during
         //     run(), the calling thread between runs) ----------------
         MemberHealth health = MemberHealth::Healthy;
-        int incarnation = 0;       //!< microreboots of this slot
         int microrebootsLeft = 0;  //!< restart error budget remaining
         int backoffLeft = 0;       //!< slices until pending microreboot
         int nextBackoff = 0;       //!< doubling backoff schedule

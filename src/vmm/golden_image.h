@@ -89,8 +89,7 @@ class GoldenImage
      * Fork a new VM.  @p fault_vm_id overrides the forked VM's
      * fault-plan identity (HypervisorFleet passes the fleet-wide
      * member index, matching addVm semantics); -1 keeps the sealed
-     * config's.  @p backing selects kernel CoW vs eager copy
-     * (CowBacking::Auto honours VVAX_GOLDEN_EAGER=1).
+     * config's.  @p backing selects kernel CoW vs eager copy.
      */
     GoldenFork fork(int fault_vm_id = -1,
                     CowBacking backing = CowBacking::Auto) const;

@@ -354,21 +354,7 @@ Hypervisor::postConsoleInput(VirtualMachine &vm, std::string text,
 {
     {
         std::lock_guard<std::mutex> lock(mailboxMutex_);
-        mailbox_.push_back(MailboxEntry{vm.id(), /*isInterrupt=*/false,
-                                        std::move(text), 0, 0, at_tick});
-    }
-    mailboxArmed_.store(true, std::memory_order_release);
-}
-
-void
-Hypervisor::postInterruptFromHost(VirtualMachine &vm, Byte ipl,
-                                  Word vector, Longword at_tick)
-{
-    {
-        std::lock_guard<std::mutex> lock(mailboxMutex_);
-        mailbox_.push_back(MailboxEntry{vm.id(), /*isInterrupt=*/true,
-                                        std::string(), ipl, vector,
-                                        at_tick});
+        mailbox_.push_back(MailboxEntry{vm.id(), std::move(text), at_tick});
     }
     mailboxArmed_.store(true, std::memory_order_release);
 }
@@ -417,13 +403,7 @@ Hypervisor::drainMailbox()
                 }
             }
         }
-        if (e.isInterrupt) {
-            vm.postInterrupt(e.ipl, e.vector);
-            if (currentVm_ == vm.id())
-                updatePendingIplHint(vm);
-        } else {
-            injectConsoleInput(vm, e.text);
-        }
+        injectConsoleInput(vm, e.text);
     }
     mailbox_.resize(kept);
     if (mailbox_.empty())

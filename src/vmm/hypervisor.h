@@ -127,13 +127,6 @@ class Hypervisor
                           Longword at_tick = 0);
 
     /**
-     * Thread-safe virtual interrupt posting, same mailbox contract as
-     * postConsoleInput.
-     */
-    void postInterruptFromHost(VirtualMachine &vm, Byte ipl, Word vector,
-                               Longword at_tick = 0);
-
-    /**
      * Bank the currently executing VM's context into its state block
      * and idle the machine.  Call before inspecting or snapshotting a
      * VM after run() returned on an instruction budget (a normal
@@ -326,10 +319,7 @@ class Hypervisor
     struct MailboxEntry
     {
         int vmIndex;
-        bool isInterrupt;
-        std::string text; //!< console input when !isInterrupt
-        Byte ipl = 0;
-        Word vector = 0;
+        std::string text; //!< console input
         Longword atTick = 0;
         bool delayed = false; //!< already hit by a mailbox-delay fault
     };

@@ -39,66 +39,6 @@ Hypervisor::hookVmEmulation(const HostFrame &frame)
     vm.stats.emulationTraps++;
     charge(CycleCategory::VmmEmulation, machine_.costModel().vmmDispatch);
 
-    // Leading fast dispatch for the dominant exits (the paper's
-    // Section 7 trap mix): MTPR to IPL/SISR/ASTLVL and
-    // register-destination MFPR of the always-resident values resolve
-    // here without entering the general emulate* machinery.  Counter
-    // and cycle-charge sequences replicate the general routines
-    // exactly; the lockstep tests compare Stats bit-for-bit.
-    if (t.opcode == static_cast<Word>(Opcode::MTPR)) {
-        const CostModel &cost = machine_.costModel();
-        const Longword value = t.operands[0].value;
-        switch (static_cast<Ipr>(t.operands[1].value & 0xFF)) {
-          case Ipr::IPL: {
-            vm.stats.mtprEmulations++;
-            vm.stats.mtprIplEmulations++;
-            charge(CycleCategory::VmmEmulation, cost.vmmMtprIplEmulate);
-            Psl vmpsl(cpu_.vmpsl());
-            vmpsl.setIpl(static_cast<Byte>(value & 0x1F));
-            cpu_.setVmpsl(vmpsl.raw());
-            continueVm(vm, t.nextPc,
-                       realPslForVm(vm, t.vmPsl.raw() & 0xFF));
-            return;
-          }
-          case Ipr::SISR:
-            vm.stats.mtprEmulations++;
-            charge(CycleCategory::VmmEmulation, cost.vmmMtprMisc);
-            vm.vSisr = value & 0xFFFE;
-            continueVm(vm, t.nextPc,
-                       realPslForVm(vm, t.vmPsl.raw() & 0xFF));
-            return;
-          case Ipr::ASTLVL:
-            vm.stats.mtprEmulations++;
-            charge(CycleCategory::VmmEmulation, cost.vmmMtprMisc);
-            vm.vAstlvl = value & 7;
-            continueVm(vm, t.nextPc,
-                       realPslForVm(vm, t.vmPsl.raw() & 0xFF));
-            return;
-          default:
-            break; // general path below
-        }
-    } else if (t.opcode == static_cast<Word>(Opcode::MFPR) &&
-               t.operands[1].isRegister) {
-        Longword value = 0;
-        bool resident = true;
-        switch (static_cast<Ipr>(t.operands[0].value & 0xFF)) {
-          case Ipr::IPL: value = Psl(cpu_.vmpsl()).ipl(); break;
-          case Ipr::SISR: value = vm.vSisr; break;
-          case Ipr::ASTLVL: value = vm.vAstlvl; break;
-          case Ipr::MAPEN: value = vm.vMapen ? 1 : 0; break;
-          default: resident = false; break;
-        }
-        if (resident) {
-            vm.stats.mfprEmulations++;
-            charge(CycleCategory::VmmEmulation,
-                   machine_.costModel().vmmMtprMisc);
-            cpu_.setReg(t.operands[1].reg, value);
-            continueVm(vm, t.nextPc,
-                       realPslForVm(vm, t.vmPsl.raw() & 0xFF));
-            return;
-        }
-    }
-
     switch (static_cast<Opcode>(t.opcode)) {
       case Opcode::CHMK:
       case Opcode::CHME:

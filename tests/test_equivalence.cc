@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -271,8 +272,8 @@ TEST(EquivalenceTimer, VirtualizationSurvivesPreemption)
 // The interpreter's host fast path (pointer-carrying TLB entries, the
 // decoder's zero-copy instruction window, the predecoded-instruction
 // cache) must be invisible: running the same workload with the fast
-// path disabled (Mmu::setReferencePath, which VVAX_EXEC_TIER=ref
-// selects) must yield bit-identical architectural state AND
+// path disabled (ExecTier::Reference, which turns on the MMU's
+// reference path) must yield bit-identical architectural state AND
 // bit-identical Stats counters (docs/ARCHITECTURE.md, "Host fast path
 // vs simulated cost model").
 
@@ -347,7 +348,7 @@ expectDigestsEqual(const MachineDigest &fast, const MachineDigest &ref)
 void
 expectLoopReachedDriver(RealMachine &m)
 {
-    if (m.cpu().execTier() != ExecTier::Threaded || m.mmu().referencePath())
+    if (m.cpu().execTier() != ExecTier::Threaded)
         return;
     EXPECT_GT(m.stats().threadedInstructions, m.stats().instructions / 2);
 }
@@ -360,7 +361,7 @@ lockstepBareProgram(std::uint32_t seed, bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     auto image = b.finish();
     m.loadImage(b.origin(), image);
     m.cpu().setPc(b.origin());
@@ -382,7 +383,7 @@ lockstepFuzzBytes(std::uint32_t seed, bool reference)
         b = static_cast<Byte>(rng());
 
     RealMachine m;
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     m.loadImage(0x200, bytes);
     m.cpu().setPc(0x200);
     m.cpu().psl().setIpl(31);
@@ -400,7 +401,7 @@ lockstepVirtualProgram(std::uint32_t seed, bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     auto image = b.finish();
@@ -427,7 +428,7 @@ lockstepMiniVmsBare(bool reference)
     mc.ramBytes = cfg.memBytes;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     cfg.diskCsrPfn = mc.diskCsrBase >> kPageShift;
     MiniVmsImage img = buildMiniVms(cfg);
     m.loadImage(0, img.image);
@@ -455,7 +456,7 @@ lockstepMiniVmsVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VmConfig vc;
     vc.memBytes = cfg.memBytes;
@@ -481,7 +482,7 @@ lockstepContextSwitchVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildContextSwitchLoop(400);
@@ -502,7 +503,7 @@ lockstepTrapDenseVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildTrapDenseLoop(500);
@@ -785,7 +786,7 @@ lockstepMiniUltrixVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VmConfig vc;
     vc.memBytes = cfg.memBytes;
@@ -807,7 +808,7 @@ lockstepIoDenseBare(bool reference)
     MachineConfig mc;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     MicroGuestImage img = buildIoDenseLoop(200, false);
     m.loadImage(img.loadBase, img.image);
     m.cpu().setPc(img.entry);
@@ -830,7 +831,7 @@ lockstepIoDenseVirtual(bool reference)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     Hypervisor hv(m);
     VirtualMachine &vm = hv.createVm(VmConfig{});
     MicroGuestImage img = buildIoDenseLoop(60, true);
@@ -2034,6 +2035,267 @@ TEST(Movc3Lockstep, MmioDestinationBare)
     EXPECT_EQ(fast.regs[R8], 9u);
 }
 
+// ----- Every addressing form, replayed on every tier -----------------
+//
+// test_addressing_sweep.cc runs each form once, so only the full decode
+// sees it.  Here each form runs in a loop, so the fast tier replays its
+// icache template and the threaded tier harvests the template into a
+// block; every run must match the reference interpreter, which never
+// records a template.
+
+constexpr VirtAddr kSweepData = 0x6000; //!< data cells the forms reach
+constexpr VirtAddr kSweepPtrs = 0x6100; //!< pointers into kSweepData
+constexpr VirtAddr kSweepNear = 0x202;  //!< constants right by the code
+constexpr int kSweepPasses = 16;
+
+/** Emits one operand specifier for the operand described by a spec. */
+using SpecEmit = std::function<void(CodeBuilder &, const OperandSpec &)>;
+
+SpecEmit
+form(Op op)
+{
+    return [op](CodeBuilder &b, const OperandSpec &spec) {
+        b.emitOperand(op, spec);
+    };
+}
+
+/**
+ * A PC-relative specifier reaching @p target through a @p bytes-wide
+ * displacement (counted from the address after it), deferred and
+ * indexed by R3 on request.  CodeBuilder only emits L^ PC-relative
+ * references, so the bytes are laid down here.
+ */
+SpecEmit
+pcRelative(VirtAddr target, int bytes, bool deferred, bool indexed = false)
+{
+    return [=](CodeBuilder &b, const OperandSpec &) {
+        if (indexed)
+            b.byte(static_cast<Byte>(0x40 | R3));
+        const int mode = (bytes == 1 ? 0xA : bytes == 2 ? 0xC : 0xE) |
+                         (deferred ? 1 : 0);
+        b.byte(static_cast<Byte>(mode << 4 | PC));
+        const Longword d = target - (b.here() + static_cast<Longword>(bytes));
+        if (bytes == 1) {
+            EXPECT_EQ(static_cast<Longword>(static_cast<std::int8_t>(d)), d)
+                << "B^ out of reach";
+            b.byte(static_cast<Byte>(d));
+        } else if (bytes == 2) {
+            b.word(static_cast<Word>(d));
+        } else {
+            b.longword(d);
+        }
+    };
+}
+
+/** #value, as wide as the operand (quadwords get both halves). */
+SpecEmit
+immediate(std::uint64_t value)
+{
+    return [value](CodeBuilder &b, const OperandSpec &spec) {
+        b.byte(0x8F);
+        for (int i = 0; i < static_cast<int>(spec.size); ++i)
+            b.byte(static_cast<Byte>(value >> (8 * i)));
+    };
+}
+
+/** Emit @p opcode with operand @p at from @p spec, the rest from @p ops. */
+void
+emitWith(CodeBuilder &b, Opcode opcode, int at, const SpecEmit &spec,
+         std::initializer_list<Op> ops)
+{
+    const InstrInfo *info = instrInfo(static_cast<Word>(opcode));
+    b.byte(static_cast<Byte>(opcode));
+    const Op *other = ops.begin();
+    for (int i = 0; i < info->nOperands; ++i) {
+        if (i == at)
+            spec(b, info->operands[i]);
+        else
+            b.emitOperand(*other++, info->operands[i]);
+    }
+}
+
+enum SweepAccess : unsigned {
+    kRead = 1,
+    kModify = 2,
+    kWrite = 4,
+    kAddress = 8,
+    kAllAccesses = 15,
+};
+
+/** A longword-sized form under each access in @p accesses. */
+std::function<void(CodeBuilder &)>
+accesses(SpecEmit spec, unsigned accesses)
+{
+    return [spec, accesses](CodeBuilder &b) {
+        if (accesses & kRead)
+            emitWith(b, Opcode::ADDL2, 0, spec, {Op::reg(R0)});
+        if (accesses & kModify)
+            emitWith(b, Opcode::ADDL2, 1, spec, {Op::reg(R0)});
+        if (accesses & kWrite)
+            emitWith(b, Opcode::MOVL, 1, spec, {Op::reg(R0)});
+        if (accesses & kAddress) {
+            emitWith(b, Opcode::MOVAL, 0, spec, {Op::reg(R1)});
+            b.addl2(Op::reg(R1), Op::reg(R0));
+        }
+    };
+}
+
+struct SweepRow
+{
+    std::string name;
+    Longword r2; //!< R2 at the top of every pass
+    std::function<void(CodeBuilder &)> body;
+};
+
+std::vector<SweepRow>
+sweepRows()
+{
+    const auto all = [](Op op) { return accesses(form(op), kAllAccesses); };
+    const auto pcRel = [](VirtAddr target, int bytes, bool deferred,
+                          bool indexed, unsigned acc) {
+        return accesses(pcRelative(target, bytes, deferred, indexed), acc);
+    };
+    std::vector<SweepRow> rows = {
+        {"S^#lit", 0, accesses(form(Op::lit(5)), kRead)},
+        {"Rn", 0, accesses(form(Op::reg(R1)), kRead | kModify | kWrite)},
+        {"#B", 0,
+         [](CodeBuilder &b) {
+             emitWith(b, Opcode::MOVB, 0, immediate(0x9C), {Op::reg(R1)});
+             b.addl2(Op::reg(R1), Op::reg(R0));
+             emitWith(b, Opcode::MOVAB, 0, immediate(0x9C), {Op::reg(R1)});
+             b.addl2(Op::reg(R1), Op::reg(R0));
+         }},
+        {"#W", 0,
+         [](CodeBuilder &b) {
+             emitWith(b, Opcode::MOVW, 0, immediate(0xBEEF), {Op::reg(R1)});
+             b.addl2(Op::reg(R1), Op::reg(R0));
+         }},
+        {"#L", 0, accesses(immediate(0x12345678), kRead | kAddress)},
+        {"#Q", 0,
+         [](CodeBuilder &b) {
+             emitWith(b, Opcode::MOVQ, 0, immediate(0x0123456789ABCDEFull),
+                      {Op::reg(R4)});
+             b.addl2(Op::reg(R4), Op::reg(R0));
+             b.addl2(Op::reg(R5), Op::reg(R0));
+         }},
+        {"B^ and W^ branches", 0,
+         [](CodeBuilder &b) {
+             const Label over_b = b.newLabel();
+             const Label over_w = b.newLabel();
+             const Label odd = b.newLabel();
+             b.brb(over_b);
+             b.incl(Op::reg(R0)); // never runs
+             b.bind(over_b);
+             b.brw(over_w);
+             b.incl(Op::reg(R0)); // never runs
+             b.bind(over_w);
+             b.blbs(Op::reg(R11), odd); // taken on every other pass
+             b.addl2(Op::lit(3), Op::reg(R0));
+             b.bind(odd);
+         }},
+    };
+    // Every memory form, plain and indexed by R3 (= 2).
+    const struct
+    {
+        const char *name;
+        Longword r2;
+        Op op;
+    } memory[] = {
+        {"(Rn)", kSweepData, Op::deferred(R2)},
+        {"-(Rn)", kSweepData + 0x20, Op::autoDec(R2)},
+        {"(Rn)+", kSweepData, Op::autoInc(R2)},
+        {"@(Rn)+", kSweepPtrs, Op::autoIncDeferred(R2)},
+        {"B^d(Rn)", kSweepData - 0x10, Op::disp(0x10, R2)},
+        {"W^d(Rn)", kSweepData - 0x1230, Op::disp(0x1230, R2)},
+        {"L^d(Rn)", kSweepData - 0x123450, Op::disp(0x123450, R2)},
+        {"@B^d(Rn)", kSweepPtrs - 0x10, Op::dispDef(0x10, R2)},
+        {"@W^d(Rn)", kSweepPtrs - 0x1230, Op::dispDef(0x1230, R2)},
+        {"@L^d(Rn)", kSweepPtrs - 0x123450, Op::dispDef(0x123450, R2)},
+        {"@#abs", 0, Op::abs(kSweepData + 0xC)},
+    };
+    for (const auto &m : memory) {
+        rows.push_back({m.name, m.r2, all(m.op)});
+        rows.push_back({std::string(m.name) + "[Rx]", m.r2,
+                        all(m.op.idx(R3))});
+    }
+    // PC-relative forms: B^ reaches the constants by the code (read
+    // and address only, so the loop never stores into its own page).
+    for (const bool indexed : {false, true}) {
+        const std::string rx = indexed ? "[Rx]" : "";
+        rows.push_back({"B^d(PC)" + rx, 0,
+                        pcRel(kSweepNear, 1, false, indexed,
+                              kRead | kAddress)});
+        rows.push_back({"W^d(PC)" + rx, 0,
+                        pcRel(kSweepData + 0x14, 2, false, indexed,
+                              kAllAccesses)});
+        rows.push_back({"L^d(PC)" + rx, 0,
+                        pcRel(kSweepData + 0x18, 4, false, indexed,
+                              kAllAccesses)});
+        rows.push_back({"@B^d(PC)" + rx, 0,
+                        pcRel(kSweepNear + 4, 1, true, indexed,
+                              kAllAccesses)});
+        rows.push_back({"@W^d(PC)" + rx, 0,
+                        pcRel(kSweepPtrs + 4, 2, true, indexed,
+                              kAllAccesses)});
+        rows.push_back({"@L^d(PC)" + rx, 0,
+                        pcRel(kSweepPtrs + 8, 4, true, indexed,
+                              kAllAccesses)});
+    }
+    return rows;
+}
+
+/**
+ * @p row's body, kSweepPasses times.  The constants by the code sit
+ * at kSweepNear, jumped over by the first instruction; the pointers
+ * at kSweepPtrs are stored before the loop.
+ */
+CodeBuilder
+sweepProgram(const SweepRow &row)
+{
+    CodeBuilder b(0x200);
+    const Label setup = b.newLabel();
+    const Label loop = b.newLabel();
+    b.brb(setup);
+    EXPECT_EQ(b.here(), kSweepNear);
+    b.longword(0x13572468);
+    b.longword(kSweepData + 0x80); // pointer for @B^d(PC)
+    b.longword(0x2468ACE0);
+    b.longword(0x0000FFFF);
+    b.bind(setup);
+    for (Longword i = 0; i < 4; ++i)
+        b.movl(Op::imm(kSweepData + 0x40 + 8 * i),
+               Op::abs(kSweepPtrs + 4 * i));
+    b.movl(Op::imm(0x1111), Op::reg(R0));
+    b.movl(Op::imm(kSweepPasses), Op::reg(R11));
+    b.bind(loop);
+    b.movl(Op::imm(row.r2), Op::reg(R2));
+    b.movl(Op::lit(2), Op::reg(R3));
+    row.body(b);
+    b.sobgtr(Op::reg(R11), loop);
+    b.halt();
+    return b;
+}
+
+TEST(ThreadedTierLockstep, EveryAddressingFormReplaysLikeTheReference)
+{
+    // Each specifier kind, immediates of every size, B^/W^/L^
+    // displacements, the PC-relative and deferred forms, [Rx] on every
+    // memory form and B^/W^ branches, under Read, Modify, Write and
+    // Address access: the captured template must replay exactly what
+    // the byte-level decode does, bare and inside a VM (mapped, so
+    // the template's fetch counts show in tlbHits).
+    for (const SweepRow &row : sweepRows()) {
+        for (const bool virtualized : {false, true}) {
+            SCOPED_TRACE(row.name + (virtualized ? ", virtualized" : ", bare"));
+            const MachineDigest threaded = tiersMatchReference(
+                [&row] { return sweepProgram(row); }, virtualized);
+            EXPECT_GT(threaded.stats.threadedInstructions,
+                      threaded.stats.instructions / 2)
+                << "the loop must reach the driver";
+        }
+    }
+}
+
 TEST(ThreadedTierLockstep, EnvironmentVariableSelectsExecTier)
 {
     // Stash any preset VVAX_EXEC_TIER so this test checks the parser,
@@ -2103,9 +2365,9 @@ TEST(FastPathLockstep, EnvironmentVariableSelectsReferencePath)
         RealMachine m;
         EXPECT_FALSE(m.mmu().referencePath())
             << "fast path is the default";
-        m.mmu().setReferencePath(true);
+        m.cpu().setExecTier(ExecTier::Reference);
         EXPECT_TRUE(m.mmu().referencePath());
-        m.mmu().setReferencePath(false);
+        m.cpu().setExecTier(ExecTier::Threaded);
         EXPECT_FALSE(m.mmu().referencePath());
     }
     setenv("VVAX_EXEC_TIER", "ref", 1);

@@ -701,7 +701,7 @@ runFaultedMiniVms(bool reference, const FaultPlan *spec_plan)
     mc.ramBytes = 16 * 1024 * 1024;
     mc.level = MicrocodeLevel::Modified;
     RealMachine m(mc);
-    m.mmu().setReferencePath(reference);
+    m.cpu().setExecTier(reference ? ExecTier::Reference : ExecTier::Threaded);
     // A fresh plan per run: rules carry firing budgets.
     FaultPlan plan;
     if (spec_plan != nullptr) {

@@ -585,9 +585,8 @@ TEST(GoldenHostFaults, ForkTimeMapFailureDegradesToEagerCopy)
 
 TEST(GoldenHostFaults, ExplicitEagerBackingMatchesAuto)
 {
-    // VVAX_GOLDEN_EAGER=1 routes CowBacking::Auto to EagerCopy; the
-    // explicit enumerator is the same code path, testable without
-    // mutating the environment.
+    // CowBacking::EagerCopy is the one selector of the full-copy
+    // fallback; its forks must run exactly like kernel-CoW forks.
     GoldenSource src = bootMiniVms(400);
     const GoldenImage gold = GoldenImage::seal(*src.hv, *src.vm);
 
